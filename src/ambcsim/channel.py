@@ -16,7 +16,7 @@ combining).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional
 
 import numpy as np
@@ -52,6 +52,9 @@ class ChannelParams:
     reflection_coeff: float = 0.5  # tag power reflection fraction beta
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.carrier_freq <= 0:
             raise ValueError("carrier_freq must be > 0")
         if not 0.0 <= self.reflection_coeff <= 1.0:

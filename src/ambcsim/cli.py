@@ -34,6 +34,10 @@ _CHANNEL_FIELDS = {f.name for f in dataclasses.fields(ChannelParams)}
 
 DEFAULT_UE_COUNTS = list(range(10, 101, 10))
 DEFAULT_DATA_SIZES = [s * 1000.0 for s in range(20, 101, 10)]
+# The key each sweep sets per point.  A --set of it would be recorded in
+# the snapshot yet never take effect, so it is refused.  A config file
+# may hold it: every snapshot does, and must re-run.
+_SWEPT_KEY = {"sweep-users": "n_ues", "sweep-data": "data_bits"}
 
 
 def _coerce(key, raw):
@@ -47,6 +51,8 @@ def _coerce(key, raw):
                 return False
             raise ValueError("expected true/false")
         if key in _INT_FIELDS:
+            if isinstance(raw, float) and not raw.is_integer():
+                raise ValueError("expected an integer")
             return int(raw)
         return float(raw)
     except (TypeError, ValueError) as exc:
@@ -172,6 +178,10 @@ def _print_summary(report, out):
 
 def run_cli(args, out=sys.stdout, err=sys.stderr) -> int:
     try:
+        swept = _SWEPT_KEY.get(args.subcommand)
+        if swept in _parse_overrides(args.overrides):
+            raise ConfigError(f"{swept!r} is swept by {args.subcommand}; "
+                              f"--set {swept} would have no effect")
         cfg = build_effective_config(args.config, args.overrides, args.seed,
                                      args.trials)
     except (ConfigError, json.JSONDecodeError) as exc:

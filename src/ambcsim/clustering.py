@@ -1,8 +1,10 @@
 """User grouping on the 1-D channel-gain feature (dB).
 
-Pipeline: k-means over k = 1..k_max, elbow selection of k on the WCSS
-curve, one-way ANOVA F-test of the chosen partition (diagnostic only),
-and proportional subcarrier allocation across clusters.
+Pipeline: exact 1-D k-means by dynamic programming, which gives the
+globally optimal WCSS for every k = 1..k_max in one pass; elbow selection
+of k on that WCSS curve; one-way ANOVA F-test of the chosen partition
+(diagnostic only); and proportional subcarrier allocation across
+clusters.  Cluster labels ascend with the gain.
 """
 
 import math
@@ -21,89 +23,79 @@ class ClusterPlan:
     k: int
     assignment: np.ndarray            # per-UE cluster index in [0, k)
     centroids: np.ndarray             # dB
-    wcss_curve: list                  # WCSS for k = 1..k_max
+    wcss_curve: list                  # optimal WCSS for k = 1, 2, ...
     f_statistic: float                # nan when k = 1
     f_pvalue: float
     subcarriers_per_cluster: np.ndarray
 
 
-def _farthest_point_init(x, k):
-    # first center nearest the median, then repeated farthest-point picks;
-    # ties break toward the lowest index (argmin/argmax convention)
-    centers = [x[int(np.argmin(np.abs(x - np.median(x))))]]
-    while len(centers) < k:
-        d = np.min(np.abs(x[:, None] - np.array(centers)[None, :]), axis=1)
-        centers.append(x[int(np.argmax(d))])
-    return np.array(centers)
+def _optimal_splits(features, k_max):
+    """Exact 1-D k-means for every k = 1..k_max in one dynamic program.
 
-
-def _repair_empty(x, assign, centers, k):
-    counts = np.bincount(assign, minlength=k)
-    for c in np.where(counts == 0)[0]:
-        d = (x - centers[assign]) ** 2
-        d[counts[assign] <= 1] = -1.0  # never empty another cluster
-        i = int(np.argmax(d))
-        counts[assign[i]] -= 1
-        assign[i] = c
-        counts[c] = 1
-    return assign
-
-
-def _polish(x, assign, k, tol=1e-12):
-    # Hartigan-style single-point moves until no move reduces WCSS
-    n = x.size
-    while True:
-        counts = np.bincount(assign, minlength=k).astype(float)
-        means = np.bincount(assign, weights=x, minlength=k) / counts
-        own = counts[assign]
-        removal = np.where(own > 1,
-                           own / np.maximum(own - 1.0, 1.0)
-                           * (x - means[assign]) ** 2,
-                           -np.inf)  # singletons must not be emptied
-        insertion = (counts[None, :] / (counts[None, :] + 1.0)
-                     * (x[:, None] - means[None, :]) ** 2)
-        delta = insertion - removal[:, None]
-        delta[np.arange(n), assign] = np.inf
-        i, c = np.unravel_index(int(np.argmin(delta)), delta.shape)
-        if not delta[i, c] < -tol:
-            return assign
-        assign[i] = c
-
-
-def kmeans(features, k, seed=0, max_iters=100):
-    """Lloyd's algorithm with deterministic farthest-point seeding.
-
-    Initialization is fully deterministic given the features (seed kept
-    for interface stability), so identical inputs always reproduce the
-    same partition.  Returns (assignment, centroids, wcss); the
-    assignment is locally optimal under single-point reassignment.
+    On sorted data an optimal partition is a set of contiguous runs, so
+    with cost(i, j) the squared deviation of sorted x[i:j] from its mean,
+    D_k[j] = min_i D_{k-1}[i] + cost(i, j) (Wang & Song, "Ckmeans.1d.dp",
+    R Journal 2011).  Returns (order, wcss, splits): the stable sort order
+    of the features, the optimal WCSS for each k, and for each k the
+    argmin table from which the partition is traced back; ties break
+    toward the earliest split.
     """
     x = np.asarray(features, dtype=float).ravel()
     n = x.size
     if n == 0:
         raise ValueError("empty feature vector")
+    order = np.argsort(x, kind="stable")
+    xs = x[order] - x.mean()  # centred, so prefix sums do not cancel badly
+    s1 = np.concatenate(([0.0], np.cumsum(xs)))
+    s2 = np.concatenate(([0.0], np.cumsum(xs * xs)))
+    ends = np.arange(n + 1)
+    length = ends[:, None] - ends[None, :]  # cost[j, i] is that of x[i:j]
+    cost = (s2[:, None] - s2[None, :]
+            - (s1[:, None] - s1[None, :]) ** 2 / np.maximum(length, 1))
+    cost = np.where(length > 0, np.maximum(cost, 0.0), np.inf)
+
+    best = np.full(n + 1, np.inf)  # D_0: only the empty prefix is free
+    best[0] = 0.0
+    total = np.empty_like(cost)
+    wcss, splits = [], []
+    for _ in range(k_max):
+        np.add(cost, best, out=total)
+        split = total.argmin(axis=1)
+        best = total[ends, split]
+        splits.append(split)
+        wcss.append(float(best[n]))
+    return order, wcss, splits
+
+
+def _trace_back(features, order, splits, k):
+    """Assignment and centroids of the optimal k-partition; cluster labels
+    ascend with the feature."""
+    x = np.asarray(features, dtype=float).ravel()
+    assign = np.empty(x.size, dtype=int)
+    end = x.size
+    for c in range(k - 1, -1, -1):
+        start = int(splits[c][end])
+        assign[order[start:end]] = c
+        end = start
+    centroids = (np.bincount(assign, weights=x, minlength=k)
+                 / np.bincount(assign, minlength=k))
+    return assign, centroids
+
+
+def kmeans(features, k):
+    """Globally optimal 1-D k-means with exactly k non-empty clusters.
+
+    Deterministic: identical inputs give the same partition, labelled in
+    ascending order of the feature.  Returns (assignment, centroids, wcss).
+    """
+    n = np.asarray(features).size
+    if n == 0:
+        raise ValueError("empty feature vector")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-
-    centers = _farthest_point_init(x, k)
-    assign = None
-    for _ in range(max_iters):
-        d2 = (x[:, None] - centers[None, :]) ** 2
-        new_assign = np.argmin(d2, axis=1)
-        new_assign = _repair_empty(x, new_assign, centers, k)
-        if assign is not None and np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        counts = np.bincount(assign, minlength=k).astype(float)
-        centers = np.bincount(assign, weights=x, minlength=k) / counts
-
-    assign = _polish(x, assign, k)
-    counts = np.bincount(assign, minlength=k).astype(float)
-    centers = np.bincount(assign, weights=x, minlength=k) / counts
-    wcss = float(np.sum((x - centers[assign]) ** 2))
-    return assign, centers, wcss
+    order, wcss, splits = _optimal_splits(features, k)
+    assign, centroids = _trace_back(features, order, splits, k)
+    return assign, centroids, wcss[k - 1]
 
 
 def elbow_select_k(wcss_curve, k_max=None):
@@ -179,16 +171,18 @@ def allocate_subcarriers(cluster_sizes, n_subcarriers):
     return alloc
 
 
-def group_users(channel: ChannelState, n_subcarriers, k_max=10, seed=0):
-    """Full grouping pipeline on the effective-gain feature in dB."""
-    features = linear_to_db(channel.effective_gain)
-    n = features.size
-    k_hi = min(k_max, n)
+def group_users(channel: ChannelState, n_subcarriers, k_max=10):
+    """Full grouping pipeline on the effective-gain feature in dB.
 
-    runs = [kmeans(features, k, seed=seed) for k in range(1, k_hi + 1)]
-    wcss_curve = [r[2] for r in runs]
+    The WCSS curve and k stop at min(k_max, n, n_subcarriers), so every
+    cluster gets at least one subcarrier.
+    """
+    features = linear_to_db(channel.effective_gain)
+    k_hi = min(k_max, features.size, n_subcarriers)
+
+    order, wcss_curve, splits = _optimal_splits(features, k_hi)
     k = elbow_select_k(wcss_curve)
-    assign, centroids, _ = runs[k - 1]
+    assign, centroids = _trace_back(features, order, splits, k)
 
     if k >= 2:
         f_stat, f_p = anova_f_test(features, assign)

@@ -4,6 +4,9 @@ from dataclasses import dataclass, field, asdict
 
 from .channel import ChannelParams
 
+UE_HEIGHT = 1.5   # m, handset
+TAG_HEIGHT = 1.0  # m
+
 
 class ConfigError(ValueError):
     """Invalid configuration value; message names the offending key."""
@@ -32,16 +35,30 @@ class SimConfig:
     channel: ChannelParams = field(default_factory=ChannelParams)
 
     def validate(self):
-        positive = ["coverage_radius", "bandwidth", "p_max", "uav_altitude",
-                    "data_bits", "frame_duration"]
+        import math
+
+        reals = ["coverage_radius", "bandwidth", "p_max", "uav_altitude",
+                 "circuit_power", "data_bits", "frame_duration"]
+        for key in reals:
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite")
+        positive = ["coverage_radius", "bandwidth", "p_max", "data_bits",
+                    "frame_duration"]
         for key in positive:
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be > 0")
-        counts = ["n_subcarriers", "n_ues", "k_max", "n_trials"]
-        for key in counts:
-            if int(getattr(self, key)) < 1:
+        if not self.uav_altitude > max(UE_HEIGHT, TAG_HEIGHT):
+            raise ConfigError(f"uav_altitude must be above the UE and tag "
+                              f"heights ({UE_HEIGHT} m, {TAG_HEIGHT} m)")
+        for key in ["n_subcarriers", "n_ues", "k_max", "n_trials", "n_tags",
+                    "seed"]:
+            value = getattr(self, key)
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        for key in ["n_subcarriers", "n_ues", "k_max", "n_trials"]:
+            if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be an integer >= 1")
-        if int(self.n_tags) < 0:
+        if self.n_tags < 0:
             raise ConfigError("n_tags must be an integer >= 0")
         return self
 

@@ -17,12 +17,9 @@ import numpy as np
 
 from .channel import Position, effective_gains, noise_power
 from .clustering import ClusterPlan, group_users
-from .config import SimConfig, dbm_to_watts
+from .config import TAG_HEIGHT, UE_HEIGHT, SimConfig, dbm_to_watts
 from .power import (EeBreakdown, RateDemand, compute_ee,
                     iterative_power_allocation)
-
-UE_HEIGHT = 1.5   # m, handset
-TAG_HEIGHT = 1.0  # m
 
 MODE_TRIAD = "triad"
 MODE_BASELINE = "baseline"
@@ -123,12 +120,11 @@ def sample_deployment(config: SimConfig, trial_seed) -> Deployment:
     return Deployment(ues, tags, uav)
 
 
-def evaluate_mode(config: SimConfig, deployment: Deployment, trial_seed,
-                  ambc_enabled, mode) -> TrialModeResult:
+def evaluate_mode(config: SimConfig, deployment: Deployment, ambc_enabled,
+                  mode) -> TrialModeResult:
     """Channel -> grouping -> per-cluster power allocation -> EE."""
     state = effective_gains(deployment, config.channel, ambc_enabled)
-    plan = group_users(state, config.n_subcarriers, k_max=config.k_max,
-                       seed=trial_seed)
+    plan = group_users(state, config.n_subcarriers, k_max=config.k_max)
     demand = RateDemand(config.data_bits, config.frame_duration)
     subcarrier_bw = config.bandwidth / config.n_subcarriers
 
@@ -166,10 +162,9 @@ def evaluate_mode(config: SimConfig, deployment: Deployment, trial_seed,
 def run_trial(config: SimConfig, trial_seed):
     """One paired trial; returns (triad, baseline) on the same deployment."""
     deployment = sample_deployment(config, trial_seed)
-    triad = evaluate_mode(config, deployment, trial_seed,
-                          config.ambc_enabled, MODE_TRIAD)
-    baseline = evaluate_mode(config, deployment, trial_seed, False,
-                             MODE_BASELINE)
+    triad = evaluate_mode(config, deployment, config.ambc_enabled,
+                          MODE_TRIAD)
+    baseline = evaluate_mode(config, deployment, False, MODE_BASELINE)
     return triad, baseline
 
 

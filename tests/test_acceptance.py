@@ -184,7 +184,8 @@ class TestCriterion6KmeansLocalOptimality:
             n = int(rng.integers(4, 13))
             x = rng.normal(scale=4.0, size=n)
             k = int(rng.integers(2, min(4, n) + 1))
-            assign, _, wcss = kmeans(x, k, seed=int(rng.integers(1 << 30)))
+            rng.integers(1 << 30)  # keeps the RNG stream of the instances
+            assign, _, wcss = kmeans(x, k)
             counts = np.bincount(assign, minlength=k)
             for i, c in itertools.product(range(n), range(k)):
                 if c == assign[i] or counts[assign[i]] == 1:

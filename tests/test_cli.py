@@ -27,6 +27,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="n_ues"):
             parse_config('{"n_ues": 0}')
 
+    def test_non_integer_count_names_field(self):
+        with pytest.raises(ConfigError, match="n_ues"):
+            parse_config('{"n_ues": 1.5}')
+        with pytest.raises(ConfigError, match="n_tags"):
+            SimConfig(n_tags=2.5).validate()
+        with pytest.raises(ConfigError, match="n_ues"):
+            SimConfig(n_ues=1.5).validate()
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="bogus"):
             parse_config('{"bogus": 1}')
@@ -104,7 +112,7 @@ class TestRunCli:
 
     def test_sweep_users_with_trials_flag(self, tmp_path):
         code, out, _ = run(["--out", str(tmp_path), "--trials", "1",
-                            *FAST, "sweep-users"])
+                            "--set", "n_tags=3", "sweep-users"])
         assert code == EXIT_OK
         lines = (tmp_path / "trials.csv").read_text().splitlines()
         assert len(lines) == 1 + 10 * 2  # header + 10 points x 2 modes
@@ -114,6 +122,45 @@ class TestRunCli:
                             "single"])
         assert code == EXIT_CONFIG
         assert "n_ues" in err
+
+    @pytest.mark.parametrize("subcommand, key, value", [
+        ("sweep-users", "n_ues", "8"),
+        ("sweep-data", "data_bits", "500000"),
+    ])
+    def test_swept_key_set_exit_2(self, tmp_path, subcommand, key, value):
+        code, _, err = run(["--out", str(tmp_path), "--trials", "1",
+                            "--set", f"{key}={value}", subcommand])
+        assert code == EXIT_CONFIG
+        assert key in err
+        assert not (tmp_path / "trials.csv").exists()
+
+    def test_sweep_reruns_from_snapshot(self, tmp_path):
+        d1, d2 = tmp_path / "a", tmp_path / "b"
+        argv = ["--trials", "1", "--set", "n_ues=8", "sweep-data"]
+        code, _, err = run(["--out", str(d1), *argv])
+        assert code == EXIT_OK, err
+        snapshot = d1 / "config.snapshot.json"
+        assert json.loads(snapshot.read_text())["data_bits"] == 60000.0
+        code, _, err = run(["--out", str(d2), "--config", str(snapshot),
+                            "sweep-data"])
+        assert code == EXIT_OK, err
+        assert (d1 / "trials.csv").read_bytes() == \
+            (d2 / "trials.csv").read_bytes()
+
+    @pytest.mark.parametrize("setting, key", [
+        ("circuit_power=nan", "circuit_power"),
+        ("p_max=inf", "p_max"),
+        ("channel.carrier_freq=nan", "carrier_freq"),
+        ("channel.noise_psd=inf", "noise_psd"),
+        ("uav_altitude=1.0", "uav_altitude"),
+        ("uav_altitude=1.5", "uav_altitude"),
+    ])
+    def test_non_finite_or_impossible_value_exit_2(self, tmp_path, setting,
+                                                   key):
+        code, _, err = run(["--out", str(tmp_path), "--set", setting,
+                            "single"])
+        assert code == EXIT_CONFIG
+        assert key in err
 
     def test_unknown_key_exit_2(self, tmp_path):
         code, _, err = run(["--out", str(tmp_path), "--set", "bogus=1",

@@ -78,6 +78,16 @@ class TestRunTrial:
             else:
                 assert triad.served >= baseline.served
 
+    def test_triad_not_worse_where_grouping_once_fell_short(self):
+        # Lloyd k-means stopped at a worse triad partition on this trial
+        # than on the baseline's near-identical features, and triad EE
+        # came out below baseline EE.  Exact grouping finds the optimum in
+        # both modes.
+        triad, baseline = run_trial(SimConfig(n_ues=20),
+                                    derive_trial_seed(11, 1, 2))
+        assert np.array_equal(triad.served_mask, baseline.served_mask)
+        assert triad.ee >= baseline.ee
+
 
 class TestSweeps:
     def test_single_point_paired_records(self):
