@@ -11,8 +11,7 @@ from .harness import (Deployment, EeReport, derive_trial_seed, run_trial,
                       sample_deployment, sweep_data, sweep_users,
                       write_results)
 from .power import (EeBreakdown, InfeasibleDemandError, PowerSolution,
-                    RateDemand, closed_form_cluster_powers, compute_ee,
-                    iterative_power_allocation, min_power_single,
+                    RateDemand, compute_ee, iterative_power_allocation,
                     sinr_gamma)
 
 __version__ = "0.1.0"

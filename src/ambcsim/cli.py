@@ -78,10 +78,9 @@ def _merge(base: dict, updates: dict) -> dict:
 def _build(base: dict) -> SimConfig:
     channel_kwargs = base.pop("channel")
     try:
-        cfg = SimConfig(channel=ChannelParams(**channel_kwargs), **base)
+        return SimConfig(channel=ChannelParams(**channel_kwargs), **base)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    return cfg.validate()
 
 
 def parse_config(text: str) -> SimConfig:

@@ -34,6 +34,10 @@ class SimConfig:
     ambc_enabled: bool = True
     channel: ChannelParams = field(default_factory=ChannelParams)
 
+    def __post_init__(self):
+        # Also runs on dataclasses.replace, so every sweep point is checked.
+        self.validate()
+
     def validate(self):
         import math
 

@@ -189,7 +189,11 @@ def _sweep(config: SimConfig, name, values, make_cfg) -> EeReport:
         cfg = make_cfg(config, value)
         for t in range(config.n_trials):
             ts = derive_trial_seed(config.seed, si, t)
-            triad, baseline = run_trial(cfg, ts)
+            try:
+                triad, baseline = run_trial(cfg, ts)
+            except (ValueError, ArithmeticError) as exc:
+                raise type(exc)(f"{exc} (at {name} sweep value {value:g}, "
+                                f"trial {t}, trial seed {ts})") from exc
             for r in (triad, baseline):
                 records.append(TrialRecord(
                     sweep_value=value, trial=t, trial_seed=ts, mode=r.mode,

@@ -2,19 +2,17 @@
 
 Within a cluster the receiver decodes the strongest-gain UE first, so the
 weakest UE is interference-free and each stronger UE sees the weaker,
-still-undecoded UEs as interference.  Minimum powers meeting a common
-rate demand follow from a fixed-point sweep from the weakest UE upward;
-UEs whose power would exceed the budget are dropped (outage) and the
-remaining set is re-solved.
+still-undecoded UEs as interference.  With a common SINR target gamma,
+the minimum received powers form an exact ladder: the served UE of rank
+r (0 = weakest) is received at gamma N (1 + gamma)^r, so it transmits
+that over its gain.  UEs whose power would exceed the budget are dropped
+(outage) one at a time and the ladder is re-solved over the rest.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-CONVERGENCE_TOL_W = 1e-12
-MAX_FIXED_POINT_ITERS = 1000
 MAX_SPECTRAL_EFFICIENCY = 60.0  # bits/s/Hz guard against exponent overflow
 
 
@@ -47,9 +45,7 @@ class PowerSolution:
     power: np.ndarray          # watts, 0 for outage UEs
     achieved_rate: np.ndarray  # bits/s, 0 for outage UEs
     outage: np.ndarray         # bool
-    iterations: int
-    converged: bool
-    sic_order: list            # strongest-gain first
+    iterations: int            # ladder solves: 1 + the UEs dropped
 
 
 @dataclass
@@ -73,60 +69,14 @@ def sinr_gamma(required_rate, cluster_bandwidth):
     return 2.0 ** se - 1.0
 
 
-def min_power_single(gamma, noise, gain):
-    """Closed-form power for an interference-free UE."""
-    if gain <= 0 or noise <= 0 or gamma < 0:
-        raise ValueError("require gain > 0, noise > 0, gamma >= 0")
-    return gamma * noise / gain
-
-
-def sic_order(gains):
-    """Decode order: non-increasing gain, ties by UE index ascending."""
-    g = np.asarray(gains, dtype=float)
-    return sorted(range(g.size), key=lambda i: (-g[i], i))
-
-
-def closed_form_cluster_powers(gains, gammas, noise):
-    """Exact minimum powers under SIC, without any budget clamping.
-
-    Recursion from the weakest (interference-free) UE upward; serves as
-    the analytic reference for the iterative allocator.
-    """
-    g = np.asarray(gains, dtype=float)
-    gam = np.asarray(gammas, dtype=float)
-    p = np.zeros(g.size)
-    interference = 0.0
-    for i in reversed(sic_order(g)):  # weakest first
-        p[i] = gam[i] * (noise + interference) / g[i]
-        interference += p[i] * g[i]
-    return p
-
-
-def _fixed_point(gains, gamma, noise, order, served):
-    """Sweep weakest-to-strongest until powers stop changing."""
-    p = np.zeros(gains.size)
-    for it in range(1, MAX_FIXED_POINT_ITERS + 1):
-        max_change = 0.0
-        interference = 0.0
-        for i in reversed(order):
-            if not served[i]:
-                continue
-            new_p = gamma * (noise + interference) / gains[i]
-            max_change = max(max_change, abs(new_p - p[i]))
-            p[i] = new_p
-            interference += p[i] * gains[i]
-        if max_change < CONVERGENCE_TOL_W:
-            return p, it, True
-    return p, MAX_FIXED_POINT_ITERS, False
-
-
 def iterative_power_allocation(cluster_gains, demand: RateDemand,
                                cluster_bandwidth, noise, p_max):
     """Minimum-power allocation for one cluster with admission control.
 
-    After convergence, while any served UE needs more than p_max, the UE
-    with the largest power-to-limit ratio is dropped and the reduced set
-    is re-solved.
+    Each round solves the served set on the SIC ladder.  While the
+    largest served power exceeds p_max, that UE (the lowest index on
+    ties) is dropped and the next round re-ranks the rest.  A power that
+    overflows is infinite and is dropped like any other.
     """
     gains = np.asarray(cluster_gains, dtype=float)
     n = gains.size
@@ -136,32 +86,32 @@ def iterative_power_allocation(cluster_gains, demand: RateDemand,
         raise ValueError("p_max must be > 0")
 
     gamma = sinr_gamma(demand.required_rate, cluster_bandwidth)
-    order = sic_order(gains)
+    # Weakest first: strongest first with ties by ascending index, reversed.
+    order = np.argsort(-gains, kind="stable")[::-1]
     served = np.ones(n, dtype=bool)
-    total_iters = 0
-    while True:
-        p, iters, converged = _fixed_point(gains, gamma, noise, order, served)
-        total_iters += iters
-        if not np.any(served):
-            break
-        worst = int(np.argmax(np.where(served, p, -np.inf)))
-        if p[worst] <= p_max:
-            break
-        served[worst] = False
-        p[worst] = 0.0
+    solves = 0
+    with np.errstate(over="ignore"):
+        # Received power at served rank r = 0, 1, ... (0 = weakest).
+        rungs = gamma * noise * (1.0 + gamma) ** np.arange(n)
+        while True:
+            solves += 1
+            ladder = order[served[order]]
+            p = np.zeros(n)
+            p[ladder] = rungs[:ladder.size] / gains[ladder]
+            worst = int(np.argmax(np.where(served, p, -np.inf)))
+            if ladder.size == 0 or p[worst] <= p_max:
+                break
+            served[worst] = False
 
+    # Achieved rates from the returned powers, each UE interfered with by
+    # the weaker UEs that are decoded after it.
+    received = p[ladder] * gains[ladder]
+    interference = np.concatenate(([0.0], np.cumsum(received)[:-1]))
     rates = np.zeros(n)
-    interference = 0.0
-    for i in reversed(order):
-        if not served[i]:
-            continue
-        rates[i] = cluster_bandwidth * math.log2(
-            1.0 + p[i] * gains[i] / (noise + interference))
-        interference += p[i] * gains[i]
-
+    rates[ladder] = cluster_bandwidth * np.log2(
+        1.0 + received / (noise + interference))
     return PowerSolution(power=p, achieved_rate=rates, outage=~served,
-                         iterations=total_iters, converged=converged,
-                         sic_order=order)
+                         iterations=solves)
 
 
 def compute_ee(solutions, demand: RateDemand, circuit_power):

@@ -19,8 +19,8 @@ from ambcsim.clustering import anova_f_test, kmeans
 from ambcsim.config import SimConfig, dbm_to_watts
 from ambcsim.harness import (derive_trial_seed, run_trial, sweep_users,
                              sweep_data, write_results)
-from ambcsim.power import (RateDemand, closed_form_cluster_powers,
-                           iterative_power_allocation, sinr_gamma)
+from ambcsim.power import RateDemand, iterative_power_allocation, sinr_gamma
+from sic_reference import closed_form_cluster_powers, sic_order
 
 SEED = 42
 N_TRIALS = 100
@@ -125,6 +125,18 @@ class TestCriterion3DecreasingEeVsDataSize:
               f"sizes (min {min(gaps):.3g})")
 
 
+def sinr_equality_powers(gains, gamma, noise):
+    """Powers from a linear solve of the SINR-equality system
+    (I - gamma F) q = gamma N, where F[i, j] = 1 when UE j is decoded
+    after UE i (so j still interferes with i), and p = q / g."""
+    n = len(gains)
+    position = np.empty(n, dtype=int)
+    position[sic_order(gains)] = np.arange(n)
+    later = (position[None, :] > position[:, None]).astype(float)
+    q = np.linalg.solve(np.eye(n) - gamma * later, np.full(n, gamma * noise))
+    return q / gains
+
+
 class TestCriterion4PowerOracle:
     def test_iterative_matches_closed_form(self):
         rng = np.random.default_rng(SEED)
@@ -144,10 +156,14 @@ class TestCriterion4PowerOracle:
             sol = iterative_power_allocation(gains, demand, bw, noise, 0.2)
             assert not sol.outage.any()
             np.testing.assert_allclose(sol.power, expected, atol=1e-9)
+            np.testing.assert_allclose(
+                sol.power, sinr_equality_powers(gains, gamma, noise),
+                atol=1e-9)
             checked += 1
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0
-        ok(4, f"1000 feasible clusters match closed form within 1e-9 W; "
+        ok(4, f"1000 feasible clusters match the closed-form recursion and "
+              f"the SINR-equality linear solve within 1e-9 W; "
               f"{elapsed:.2f}s")
 
 

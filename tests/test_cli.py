@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import pytest
 
@@ -185,6 +186,21 @@ class TestRunCli:
                             "--set", "data_bits=1e9", "single"])
         assert code == EXIT_SIM
         assert err
+
+    def test_simulation_error_names_where_exit_4(self, tmp_path):
+        # 1 kHz over 128 subcarriers: the first payload needs more than the
+        # supported spectral efficiency on one cluster of the first trial,
+        # after a cluster whose ladder powers overflow and are all dropped,
+        # which must raise no warning.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(["--out", str(tmp_path), "--set",
+                                "bandwidth=1000", "sweep-data"])
+        assert code == EXIT_SIM
+        assert err.startswith("simulation error: demand of ")
+        assert "exceeds the supported range" in err
+        assert "sweep value 20000, trial 0, trial seed " in err
+        assert [str(w.message) for w in caught] == []
 
     def test_main_returns_exit_code(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), *FAST, "single"]) == EXIT_OK

@@ -1,13 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from ambcsim.channel import ChannelParams
-from ambcsim.config import SimConfig
+from ambcsim.config import ConfigError, SimConfig
 from ambcsim.harness import (EeReport, derive_trial_seed, run_trial,
                              sample_deployment, sweep_data, sweep_users,
                              write_results)
+from ambcsim.power import InfeasibleDemandError
 
 
 def small_config(**kwargs):
@@ -128,6 +130,17 @@ class TestSweeps:
         for size in (30_000.0, 60_000.0, 120_000.0):
             assert agg[(size, "triad")] > agg[(size, "baseline")]
 
+    def test_simulation_error_names_sweep_point_and_trial(self):
+        cfg = small_config(n_trials=2)
+        seed = derive_trial_seed(cfg.seed, 0, 0)
+        with pytest.raises(InfeasibleDemandError) as info:
+            sweep_data(cfg, [1e9])
+        message = str(info.value)
+        assert "exceeds the supported range" in message
+        assert "1e+09" in message
+        assert "trial 0," in message
+        assert f"trial seed {seed}" in message
+
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
             sweep_users(small_config(), [])
@@ -191,3 +204,17 @@ def test_config_defaults_match_case_study():
     assert cfg.circuit_power == 5.0
     assert cfg.data_bits == 60_000.0
     assert cfg.n_ues == 70
+
+
+class TestValidationOnEveryPath:
+    def test_run_trial_config_below_ground_rejected(self):
+        with pytest.raises(ConfigError, match="uav_altitude"):
+            run_trial(SimConfig(uav_altitude=1.0, n_ues=10), 1)
+
+    def test_sweep_config_with_nan_rejected(self):
+        with pytest.raises(ConfigError, match="circuit_power"):
+            sweep_users(SimConfig(circuit_power=float("nan")), [10])
+
+    def test_replace_revalidates(self):
+        with pytest.raises(ConfigError, match="n_ues"):
+            dataclasses.replace(SimConfig(), n_ues=0)

@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ambcsim.power import (InfeasibleDemandError, RateDemand,
-                           closed_form_cluster_powers, compute_ee,
-                           iterative_power_allocation, min_power_single,
-                           sic_order, sinr_gamma)
+from ambcsim.power import (InfeasibleDemandError, RateDemand, compute_ee,
+                           iterative_power_allocation, sinr_gamma)
+from sic_reference import (closed_form_cluster_powers, min_power_single,
+                           sic_order)
 
 
 def random_feasible_cluster(rng, max_size=6):
@@ -84,7 +87,6 @@ class TestIterativePowerAllocation:
         sol = iterative_power_allocation([gain], demand, bw, noise, 0.2)
         gamma = sinr_gamma(demand.required_rate, bw)
         assert not sol.outage[0]
-        assert sol.converged
         assert sol.power[0] == pytest.approx(gamma * noise / gain, abs=1e-15)
 
     def test_single_infeasible_ue_in_outage(self):
@@ -117,7 +119,6 @@ class TestIterativePowerAllocation:
             assert np.all(sol.power[sol.outage] == 0.0)
             assert np.all(sol.achieved_rate[served]
                           >= demand.required_rate * (1 - 1e-6))
-            assert sol.converged
 
     def test_gain_scaling_reduces_power(self):
         rng = np.random.default_rng(63)
@@ -130,6 +131,94 @@ class TestIterativePowerAllocation:
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
             iterative_power_allocation([], RateDemand(1e4), 1e5, 1e-15, 0.2)
+
+
+def reference_admission(gains, gamma, noise, p_max):
+    """Weakest-first SIC recursion over the served UEs; while the largest
+    power exceeds p_max, drop it (the lowest index on ties) and re-solve.
+    Returns (powers, outage)."""
+    served = [True] * len(gains)
+    while True:
+        p = [0.0] * len(gains)
+        interference = 0.0
+        for i in reversed(sic_order(gains)):
+            if served[i]:
+                p[i] = gamma * (noise + interference) / gains[i]
+                interference += p[i] * gains[i]
+        candidates = [i for i in range(len(gains)) if served[i]]
+        if not candidates:
+            break
+        worst = max(candidates, key=lambda i: (p[i], -i))
+        if p[worst] <= p_max:
+            break
+        served[worst] = False
+    return np.array(p), ~np.array(served)
+
+
+class TestAdmissionAgainstReference:
+    BW = 1e5
+    NOISE = 10.0 ** ((-174.0 + 50.0 - 30.0) / 10.0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(exponents=st.lists(st.one_of(st.sampled_from([-11.0, -10.0,
+                                                         -9.5]),
+                                        st.floats(-12.0, -8.0)),
+                              min_size=1, max_size=8),
+           spectral_eff=st.floats(0.05, 8.0),
+           data=st.data())
+    def test_matches_plain_drop_loop(self, exponents, spectral_eff, data):
+        gains = [10.0 ** e for e in exponents]
+        demand = RateDemand(spectral_eff * self.BW)
+        gamma = sinr_gamma(demand.required_rate, self.BW)
+        # Every power any served set can need is gamma N (1 + gamma)^r / g
+        # for some rank r and gain g.  p_max sits between two such values,
+        # or below or above all of them, so no power ties with p_max and
+        # every outcome from all dropped to all served is reachable.
+        levels = np.unique([gamma * self.NOISE * (1.0 + gamma) ** r / g
+                            for r in range(len(gains)) for g in gains])
+        j = data.draw(st.integers(0, levels.size))
+        if j == 0:
+            p_max = levels[0] / 2.0
+        elif j == levels.size:
+            p_max = levels[-1] * 2.0
+        else:
+            assume(levels[j] > levels[j - 1] * (1.0 + 1e-9))
+            p_max = math.sqrt(levels[j - 1] * levels[j])
+
+        sol = iterative_power_allocation(gains, demand, self.BW, self.NOISE,
+                                         p_max)
+        power, outage = reference_admission(gains, gamma, self.NOISE, p_max)
+        np.testing.assert_array_equal(sol.outage, outage)
+        np.testing.assert_allclose(sol.power, power, rtol=1e-12, atol=0.0)
+        assert sol.iterations == 1 + int(sol.outage.sum())
+
+    @pytest.mark.parametrize("gains, outage", [
+        ([1e-10, 2e-10], [True, False]),
+        ([2e-10, 1e-10], [True, True]),
+    ])
+    def test_power_ties_drop_the_lowest_index(self, gains, outage):
+        # gamma = 1 and one gain twice the other: the weaker UE alone at
+        # rank 0 and the stronger at rank 1 need the same power N / g_weak.
+        # Under p_max = 0.75 N / g_weak, index 0 is dropped first; only the
+        # stronger UE fits alone (N / (2 g_weak)).
+        demand = RateDemand(self.BW)
+        p_max = 0.75 * self.NOISE / 1e-10
+        sol = iterative_power_allocation(gains, demand, self.BW,
+                                         self.NOISE, p_max)
+        assert sol.outage.tolist() == outage
+        assert sol.iterations == 1 + sum(outage)
+
+    def test_overflowing_power_is_dropped_silently(self):
+        demand = RateDemand(59.0 * self.BW)  # gamma = 2^59 - 1
+        gains = [1e-12] * 40                 # (1 + gamma)^39 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = iterative_power_allocation(gains, demand, self.BW,
+                                             self.NOISE, 0.2)
+        assert sol.outage.all()
+        assert np.all(sol.power == 0.0)
+        assert sol.iterations == 41
 
 
 class TestComputeEe:
