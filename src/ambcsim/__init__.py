@@ -1,9 +1,8 @@
 """Deterministic uplink-cell simulator: UAV relay, passive backscatter
 tags, k-means NOMA grouping, and minimum-power allocation."""
 
-from .channel import (ChannelParams, ChannelState, Position,
-                      a2g_path_loss, cascaded_backscatter_gain,
-                      effective_gains, elevation_angle, noise_power)
+from .channel import (ChannelParams, ChannelState, a2g_path_loss,
+                      effective_gains, noise_power, positions)
 from .clustering import (ClusterPlan, allocate_subcarriers, anova_f_test,
                          elbow_select_k, group_users, kmeans)
 from .config import ConfigError, SimConfig, dbm_to_watts

@@ -17,26 +17,29 @@ combining).
 
 import math
 from dataclasses import dataclass, fields
-from typing import List, Optional
 
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
+# Points in cell coordinates; z is height above ground in meters.  The
+# element type is np.record, so one point reads as p.x, p.y, p.z; whole
+# columns read as a["x"], which is much cheaper than the attribute form.
+XYZ = np.dtype((np.record, [("x", float), ("y", float), ("z", float)]))
 
-@dataclass(frozen=True)
-class Position:
-    """Point in cell coordinates; z is height above ground in meters."""
 
-    x: float
-    y: float
-    z: float
+def positions(x, y, z):
+    """XYZ record array of the points (x, y, z), broadcast together.
 
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise ValueError("position coordinates must be finite")
-        if self.z < 0:
-            raise ValueError("height z must be >= 0")
+    Every coordinate must be finite and every height z >= 0.
+    """
+    out = np.empty(np.broadcast(x, y, z).shape, dtype=XYZ)
+    out["x"], out["y"], out["z"] = x, y, z
+    if not all(np.isfinite(out[f]).all() for f in "xyz"):
+        raise ValueError("position coordinates must be finite")
+    if np.any(out["z"] < 0):
+        raise ValueError("height z must be >= 0")
+    return out
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,9 @@ class ChannelParams:
                 raise ValueError(f"{f.name} must be finite")
         if self.carrier_freq <= 0:
             raise ValueError("carrier_freq must be > 0")
+        if self.plos_a < 0:
+            # keeps the LoS probability 1 / (1 + a exp(...)) in (0, 1]
+            raise ValueError("plos_a must be >= 0")
         if not 0.0 <= self.reflection_coeff <= 1.0:
             raise ValueError("reflection_coeff must be in [0, 1]")
         if not self.eta_nlos >= self.eta_los >= 0.0:
@@ -65,36 +71,17 @@ class ChannelParams:
 
 @dataclass
 class ChannelState:
-    """Per-UE linear power gains to the UAV for one deployment."""
+    """Per-UE linear power gains to the UAV for one deployment;
+    best_tag_index is -1 where no tag is used."""
 
     direct_gain: np.ndarray
     backscatter_gain: np.ndarray
     effective_gain: np.ndarray
-    best_tag_index: List[Optional[int]]
-
-
-def db_to_linear(db):
-    return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
+    best_tag_index: np.ndarray
 
 
 def linear_to_db(lin):
     return 10.0 * np.log10(np.asarray(lin, dtype=float))
-
-
-def elevation_angle(ue: Position, uav: Position) -> float:
-    """Elevation of the UAV as seen from the UE, in radians.
-
-    Returns arctan(height difference / horizontal distance), pi/2 when
-    the UAV is directly overhead.
-    """
-    dx, dy = uav.x - ue.x, uav.y - ue.y
-    dz = uav.z - ue.z
-    horizontal = math.hypot(dx, dy)
-    if horizontal == 0.0 and dz == 0.0:
-        raise ValueError("UE and UAV positions coincide")
-    if dz <= 0.0:
-        raise ValueError("UAV must be above the UE")
-    return math.atan2(dz, horizontal)
 
 
 def a2g_path_loss(distance, angle, params: ChannelParams):
@@ -108,25 +95,6 @@ def a2g_path_loss(distance, angle, params: ChannelParams):
     fspl = 20.0 * np.log10(4.0 * np.pi * d * params.carrier_freq / SPEED_OF_LIGHT)
     loss = fspl + p_los * params.eta_los + (1.0 - p_los) * params.eta_nlos
     return float(loss) if np.isscalar(distance) else loss
-
-
-def _hop_geometry(p: Position, q: Position):
-    """(distance, elevation-style angle) of the p -> q hop."""
-    horizontal = math.hypot(q.x - p.x, q.y - p.y)
-    dz = abs(q.z - p.z)
-    return math.hypot(horizontal, dz), math.atan2(dz, horizontal)
-
-
-def cascaded_backscatter_gain(ue: Position, tag: Position, uav: Position,
-                              params: ChannelParams) -> float:
-    """Linear power gain of the UE -> tag -> UAV reflection path."""
-    d1, a1 = _hop_geometry(ue, tag)
-    d2, a2 = _hop_geometry(tag, uav)
-    if d1 == 0.0 or d2 == 0.0:
-        raise ValueError("tag must be distinct from UE and UAV")
-    g1 = 10.0 ** (-a2g_path_loss(d1, a1, params) / 10.0)
-    g2 = 10.0 ** (-a2g_path_loss(d2, a2, params) / 10.0)
-    return params.reflection_coeff * g1 * g2
 
 
 def noise_power(bandwidth: float, noise_psd: float) -> float:
@@ -144,42 +112,38 @@ def effective_gains(deployment, params: ChannelParams,
     break toward the lowest index.  With backscatter disabled (or no
     tags, or beta = 0) the effective gain reduces to the direct gain.
     """
-    ues = np.array([[p.x, p.y, p.z] for p in deployment.ue_positions])
+    ues = deployment.ue_positions
     if ues.size == 0:
         raise ValueError("deployment must contain at least one UE")
     uav = deployment.uav_position
-    uav_xyz = np.array([uav.x, uav.y, uav.z])
 
-    delta = uav_xyz[None, :] - ues
-    horiz = np.hypot(delta[:, 0], delta[:, 1])
-    dz = delta[:, 2]
+    horiz = np.hypot(uav["x"] - ues["x"], uav["y"] - ues["y"])
+    dz = uav["z"] - ues["z"]
     dist = np.hypot(horiz, dz)
     angle = np.arctan2(dz, horiz)
     direct = 10.0 ** (-a2g_path_loss(dist, angle, params) / 10.0)
 
-    n = ues.shape[0]
+    n = ues.size
     backscatter = np.zeros(n)
-    best: List[Optional[int]] = [None] * n
+    best = np.full(n, -1)
 
     tags = deployment.tag_positions
-    if ambc_enabled and tags and params.reflection_coeff > 0.0:
-        txyz = np.array([[p.x, p.y, p.z] for p in tags])
+    if ambc_enabled and tags.size and params.reflection_coeff > 0.0:
         # hop 1: UE -> tag, (n_ue, n_tag)
-        d1h = np.hypot(ues[:, None, 0] - txyz[None, :, 0],
-                       ues[:, None, 1] - txyz[None, :, 1])
-        d1z = np.abs(ues[:, None, 2] - txyz[None, :, 2])
+        d1h = np.hypot(ues["x"][:, None] - tags["x"][None, :],
+                       ues["y"][:, None] - tags["y"][None, :])
+        d1z = np.abs(ues["z"][:, None] - tags["z"][None, :])
         d1 = np.hypot(d1h, d1z)
         g1 = 10.0 ** (-a2g_path_loss(d1, np.arctan2(d1z, d1h), params) / 10.0)
         # hop 2: tag -> UAV, (n_tag,)
-        d2h = np.hypot(uav.x - txyz[:, 0], uav.y - txyz[:, 1])
-        d2z = np.abs(uav.z - txyz[:, 2])
+        d2h = np.hypot(uav["x"] - tags["x"], uav["y"] - tags["y"])
+        d2z = np.abs(uav["z"] - tags["z"])
         d2 = np.hypot(d2h, d2z)
         g2 = 10.0 ** (-a2g_path_loss(d2, np.arctan2(d2z, d2h), params) / 10.0)
 
         cascaded = params.reflection_coeff * g1 * g2[None, :]
-        best_idx = np.argmax(cascaded, axis=1)  # ties -> lowest index
-        backscatter = cascaded[np.arange(n), best_idx]
-        best = [int(i) for i in best_idx]
+        best = np.argmax(cascaded, axis=1)  # ties -> lowest index
+        backscatter = cascaded[np.arange(n), best]
 
     effective = direct + backscatter
     return ChannelState(direct, backscatter, effective, best)

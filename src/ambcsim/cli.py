@@ -83,18 +83,6 @@ def _build(base: dict) -> SimConfig:
         raise ConfigError(str(exc))
 
 
-def parse_config(text: str) -> SimConfig:
-    """SimConfig from a JSON object; absent fields keep their defaults."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    base = dataclasses.asdict(SimConfig())
-    return _build(_merge(base, data))
-
-
 def _parse_overrides(pairs):
     out = {}
     for pair in pairs:
@@ -148,7 +136,6 @@ def build_parser():
                         default=[], metavar="KEY=VALUE",
                         help="override a config field (repeatable)")
     parser.add_argument("--trials", type=int, help="trials per sweep point")
-    parser.add_argument("-v", "--verbose", action="count", default=0)
     parser.add_argument("subcommand",
                         choices=["single", "sweep-users", "sweep-data"])
     return parser

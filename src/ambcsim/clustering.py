@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .channel import ChannelState, linear_to_db
 
@@ -25,7 +24,6 @@ class ClusterPlan:
     centroids: np.ndarray             # dB
     wcss_curve: list                  # optimal WCSS for k = 1, 2, ...
     f_statistic: float                # nan when k = 1
-    f_pvalue: float
     subcarriers_per_cluster: np.ndarray
 
 
@@ -98,15 +96,13 @@ def kmeans(features, k):
     return assign, centroids, wcss[k - 1]
 
 
-def elbow_select_k(wcss_curve, k_max=None):
+def elbow_select_k(wcss_curve):
     """Cluster count at the maximum second difference of the WCSS curve.
 
     Returns 1 when fewer than 3 candidates exist or the curve is flat;
     ties break toward the smaller k.
     """
     curve = np.asarray(wcss_curve, dtype=float)
-    if k_max is not None:
-        curve = curve[:k_max]
     if curve.size == 0:
         raise ValueError("empty WCSS curve")
     if curve.size < 3:
@@ -118,12 +114,8 @@ def elbow_select_k(wcss_curve, k_max=None):
 
 
 def anova_f_test(features, assignment):
-    """One-way ANOVA of the grouped features.
-
-    Returns (F, p); F = +inf with p = 0 when the within-cluster sum of
-    squares is zero.  The p-value is the upper F-tail evaluated through
-    the regularized incomplete beta function.
-    """
+    """One-way ANOVA F statistic of the grouped features; +inf when the
+    within-cluster sum of squares is zero."""
     x = np.asarray(features, dtype=float).ravel()
     a = np.asarray(assignment, dtype=int).ravel()
     k = int(a.max()) + 1 if a.size else 0
@@ -140,11 +132,8 @@ def anova_f_test(features, assignment):
     ssb = float(np.sum(counts * (means - grand) ** 2))
     ssw = float(np.sum((x - means[a]) ** 2))
     if ssw <= 0.0:
-        return math.inf, 0.0
-    d1, d2 = k - 1, x.size - k
-    f = (ssb / d1) / (ssw / d2)
-    p = float(betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * f)))
-    return float(f), p
+        return math.inf
+    return (ssb / (k - 1)) / (ssw / (x.size - k))
 
 
 def allocate_subcarriers(cluster_sizes, n_subcarriers):
@@ -184,12 +173,10 @@ def group_users(channel: ChannelState, n_subcarriers, k_max=10):
     k = elbow_select_k(wcss_curve)
     assign, centroids = _trace_back(features, order, splits, k)
 
-    if k >= 2:
-        f_stat, f_p = anova_f_test(features, assign)
-    else:
-        f_stat, f_p = math.nan, math.nan  # undefined for a single cluster
+    # undefined for a single cluster
+    f_stat = anova_f_test(features, assign) if k >= 2 else math.nan
 
     sizes = np.bincount(assign, minlength=k)
     subcarriers = allocate_subcarriers(sizes, n_subcarriers)
-    return ClusterPlan(k, assign, centroids, wcss_curve, f_stat, f_p,
+    return ClusterPlan(k, assign, centroids, wcss_curve, f_stat,
                        subcarriers)

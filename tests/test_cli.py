@@ -1,12 +1,15 @@
 import io
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import ambcsim
 from ambcsim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIM,
-                         build_effective_config, build_parser, main,
-                         parse_config)
+                         build_effective_config, build_parser, main)
 from ambcsim.config import ConfigError, SimConfig, dbm_to_watts
 
 
@@ -21,14 +24,22 @@ FAST = ["--set", "n_ues=8", "--set", "n_tags=3"]
 
 
 class TestParseConfig:
-    def test_empty_object_gives_defaults(self):
+    @pytest.fixture
+    def parse_config(self, tmp_path):
+        def parse(text):
+            path = tmp_path / "config.json"
+            path.write_text(text, encoding="utf-8")
+            return build_effective_config(path)
+        return parse
+
+    def test_empty_object_gives_defaults(self, parse_config):
         assert parse_config("{}") == SimConfig()
 
-    def test_invalid_count_names_field(self):
+    def test_invalid_count_names_field(self, parse_config):
         with pytest.raises(ConfigError, match="n_ues"):
             parse_config('{"n_ues": 0}')
 
-    def test_non_integer_count_names_field(self):
+    def test_non_integer_count_names_field(self, parse_config):
         with pytest.raises(ConfigError, match="n_ues"):
             parse_config('{"n_ues": 1.5}')
         with pytest.raises(ConfigError, match="n_tags"):
@@ -36,19 +47,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="n_ues"):
             SimConfig(n_ues=1.5).validate()
 
-    def test_unknown_key_rejected(self):
+    def test_unknown_key_rejected(self, parse_config):
         with pytest.raises(ConfigError, match="bogus"):
             parse_config('{"bogus": 1}')
 
-    def test_malformed_json_rejected(self):
+    def test_malformed_json_rejected(self, parse_config):
         with pytest.raises(ConfigError):
             parse_config("{not json")
 
-    def test_nested_channel_override(self):
+    def test_nested_channel_override(self, parse_config):
         cfg = parse_config('{"channel": {"reflection_coeff": 0.1}}')
         assert cfg.channel.reflection_coeff == 0.1
 
-    def test_circuit_power_unit_conversion(self):
+    def test_circuit_power_unit_conversion(self, parse_config):
         cfg = parse_config('{"circuit_power": 5.0}')
         assert dbm_to_watts(cfg.circuit_power) == pytest.approx(3.162e-3,
                                                                 rel=1e-3)
@@ -155,6 +166,7 @@ class TestRunCli:
         ("channel.noise_psd=inf", "noise_psd"),
         ("uav_altitude=1.0", "uav_altitude"),
         ("uav_altitude=1.5", "uav_altitude"),
+        ("channel.plos_a=-0.01", "plos_a"),
     ])
     def test_non_finite_or_impossible_value_exit_2(self, tmp_path, setting,
                                                    key):
@@ -205,3 +217,13 @@ class TestRunCli:
     def test_main_returns_exit_code(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), *FAST, "single"]) == EXIT_OK
         capsys.readouterr()
+
+
+def test_cli_imports_without_scipy():
+    # scipy is a test-only dependency; the runtime needs numpy alone.
+    src = str(Path(ambcsim.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            f"sys.modules['scipy'] = None; import ambcsim.cli")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

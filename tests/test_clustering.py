@@ -38,7 +38,7 @@ def state_from_db(gains_db):
     lin = 10.0 ** (np.asarray(gains_db, dtype=float) / 10.0)
     return ChannelState(direct_gain=lin, backscatter_gain=np.zeros_like(lin),
                         effective_gain=lin,
-                        best_tag_index=[None] * lin.size)
+                        best_tag_index=np.full(lin.size, -1))
 
 
 class TestKmeans:
@@ -150,19 +150,16 @@ class TestElbowSelectK:
 
 class TestAnovaFTest:
     def test_hand_computed_fixture(self):
-        f, p = anova_f_test([1.0, 2.0, 5.0, 6.0], [0, 0, 1, 1])
+        f = anova_f_test([1.0, 2.0, 5.0, 6.0], [0, 0, 1, 1])
         assert abs(f - 32.0) < 1e-9
-        assert 0.0 < p < 1.0
 
     def test_zero_within_variance(self):
-        f, p = anova_f_test([0.0, 0.0, 10.0, 10.0], [0, 0, 1, 1])
+        f = anova_f_test([0.0, 0.0, 10.0, 10.0], [0, 0, 1, 1])
         assert math.isinf(f)
-        assert p == 0.0
 
     def test_equal_group_means(self):
-        f, p = anova_f_test([1.0, 2.0, 1.0, 2.0], [0, 0, 1, 1])
+        f = anova_f_test([1.0, 2.0, 1.0, 2.0], [0, 0, 1, 1])
         assert f == pytest.approx(0.0, abs=1e-12)
-        assert p == pytest.approx(1.0)
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
@@ -181,11 +178,10 @@ class TestAnovaFTest:
                                      rng.integers(0, k, size=n - k)])
             rng.shuffle(assign)
             x = rng.normal(size=n) + 0.5 * assign
-            f, p = anova_f_test(x, assign)
+            f = anova_f_test(x, assign)
             groups = [x[assign == c] for c in range(k)]
             ref = stats.f_oneway(*groups)
             assert f == pytest.approx(ref.statistic, rel=1e-6)
-            assert p == pytest.approx(ref.pvalue, rel=1e-6, abs=1e-12)
 
 
 class TestAllocateSubcarriers:
@@ -224,7 +220,6 @@ class TestGroupUsers:
                            k_max=3)
         assert plan.k == 2
         assert math.isinf(plan.f_statistic)
-        assert plan.f_pvalue == 0.0
 
     def test_identical_gains_collapse_to_one(self):
         plan = group_users(state_from_db([-90.0] * 12), 128, k_max=10)

@@ -24,7 +24,7 @@ class TestSampleDeployment:
         dep = sample_deployment(cfg, 42)
         assert len(dep.ue_positions) == 1
         assert len(dep.tag_positions) == cfg.n_tags
-        for p in dep.ue_positions + dep.tag_positions:
+        for p in np.concatenate([dep.ue_positions, dep.tag_positions]):
             assert math.hypot(p.x, p.y) <= cfg.coverage_radius
         assert dep.uav_position.z == cfg.uav_altitude
 
@@ -32,8 +32,25 @@ class TestSampleDeployment:
         cfg = small_config()
         d1 = sample_deployment(cfg, 7)
         d2 = sample_deployment(cfg, 7)
-        assert d1.ue_positions == d2.ue_positions
-        assert d1.tag_positions == d2.tag_positions
+        assert np.array_equal(d1.ue_positions, d2.ue_positions)
+        assert np.array_equal(d1.tag_positions, d2.tag_positions)
+
+    def test_draw_order(self):
+        # UE radii, UE azimuths, tag radii, tag azimuths, from one stream
+        cfg = small_config(n_ues=17, n_tags=9)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            draws = [rng.random(n) for n in
+                     (cfg.n_ues, cfg.n_ues, cfg.n_tags, cfg.n_tags)]
+            dep = sample_deployment(cfg, seed)
+            for pts, u_r, u_phi in ((dep.ue_positions, *draws[:2]),
+                                    (dep.tag_positions, *draws[2:])):
+                r = cfg.coverage_radius * np.sqrt(u_r)
+                phi = 2.0 * np.pi * u_phi
+                assert pts["x"].tolist() == [float(ri * np.cos(pi))
+                                             for ri, pi in zip(r, phi)]
+                assert pts["y"].tolist() == [float(ri * np.sin(pi))
+                                             for ri, pi in zip(r, phi)]
 
     def test_uniform_disk_area_law(self):
         cfg = small_config(n_ues=10_000)
