@@ -23,8 +23,8 @@ import numpy as np
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 # Points in cell coordinates; z is height above ground in meters.  The
-# element type is np.record, so one point reads as p.x, p.y, p.z; whole
-# columns read as a["x"], which is much cheaper than the attribute form.
+# element type is np.record, so one point reads as p.x, p.y, p.z, and a
+# whole column as a["x"].
 XYZ = np.dtype((np.record, [("x", float), ("y", float), ("z", float)]))
 
 
