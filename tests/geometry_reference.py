@@ -1,15 +1,20 @@
-"""Scalar geometry references for the tests.
+"""Geometry references for the tests.
 
-One point and one link at a time, independent of the vectorised UE x tag
-arrays in ``ambcsim.channel.effective_gains``.  Each function takes any
-object with ``x``, ``y`` and ``z`` attributes: a ``Position`` here or one
-element of an ``ambcsim.channel.positions`` record array.
+The scalar functions take one point and one link at a time, independent
+of the vectorised UE x tag arrays in ``ambcsim.channel.effective_gains``.
+Each takes any object with ``x``, ``y`` and ``z`` attributes: a
+``Position`` here or one element of an ``ambcsim.channel.positions``
+record array.  ``full_block_gains`` evaluates the exact cascaded gain of
+every UE-tag pair and takes the argmax, the computation that
+``effective_gains`` narrows to a screen and a re-check of the winners.
 """
 
 import math
 from typing import NamedTuple
 
-from ambcsim.channel import ChannelParams, a2g_path_loss
+import numpy as np
+
+from ambcsim.channel import ChannelParams, ChannelState, a2g_path_loss
 
 
 class Position(NamedTuple):
@@ -52,3 +57,41 @@ def cascaded_backscatter_gain(ue, tag, uav, params: ChannelParams) -> float:
     g1 = 10.0 ** (-a2g_path_loss(d1, a1, params) / 10.0)
     g2 = 10.0 ** (-a2g_path_loss(d2, a2, params) / 10.0)
     return params.reflection_coeff * g1 * g2
+
+
+def full_block_gains(deployment, params: ChannelParams,
+                     ambc_enabled: bool = True) -> ChannelState:
+    """``effective_gains`` evaluated exactly over the whole UE x tag block."""
+    ues = deployment.ue_positions
+    uav = deployment.uav_position
+
+    horiz = np.hypot(uav["x"] - ues["x"], uav["y"] - ues["y"])
+    dz = uav["z"] - ues["z"]
+    dist = np.hypot(horiz, dz)
+    angle = np.arctan2(dz, horiz)
+    direct = 10.0 ** (-a2g_path_loss(dist, angle, params) / 10.0)
+
+    n = ues.size
+    backscatter = np.zeros(n)
+    best = np.full(n, -1)
+
+    tags = deployment.tag_positions
+    if ambc_enabled and tags.size and params.reflection_coeff > 0.0:
+        # hop 1: UE -> tag, (n_ue, n_tag)
+        d1h = np.hypot(ues["x"][:, None] - tags["x"][None, :],
+                       ues["y"][:, None] - tags["y"][None, :])
+        d1z = np.abs(ues["z"][:, None] - tags["z"][None, :])
+        d1 = np.hypot(d1h, d1z)
+        g1 = 10.0 ** (-a2g_path_loss(d1, np.arctan2(d1z, d1h), params) / 10.0)
+        # hop 2: tag -> UAV, (n_tag,)
+        d2h = np.hypot(uav["x"] - tags["x"], uav["y"] - tags["y"])
+        d2z = np.abs(uav["z"] - tags["z"])
+        d2 = np.hypot(d2h, d2z)
+        g2 = 10.0 ** (-a2g_path_loss(d2, np.arctan2(d2z, d2h), params) / 10.0)
+
+        cascaded = params.reflection_coeff * g1 * g2[None, :]
+        best = np.argmax(cascaded, axis=1)  # ties -> lowest index
+        backscatter = cascaded[np.arange(n), best]
+
+    effective = direct + backscatter
+    return ChannelState(direct, backscatter, effective, best)

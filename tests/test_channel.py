@@ -1,14 +1,17 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from ambcsim.channel import (ChannelParams, a2g_path_loss, effective_gains,
-                             noise_power, positions, SPEED_OF_LIGHT)
-from ambcsim.harness import Deployment
+                             noise_power, positions, SCREEN_TOL_DB,
+                             SPEED_OF_LIGHT)
+from ambcsim.config import SimConfig
+from ambcsim.harness import Deployment, sample_deployment
 from geometry_reference import (Position, cascaded_backscatter_gain,
-                                elevation_angle)
+                                elevation_angle, full_block_gains)
 
 
 def fspl_distance(loss_db, freq):
@@ -205,6 +208,115 @@ class TestEffectiveGains:
                 assert state.best_tag_index[i] == best
                 assert state.backscatter_gain[i] == pytest.approx(
                     gains[best] if gains else 0.0, rel=1e-12, abs=0.0)
+
+
+def assert_matches_full_block(dep, params):
+    """effective_gains equals the exact full-block argmax bit for bit,
+    and neither raises a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = effective_gains(dep, params)
+        ref = full_block_gains(dep, params)
+    for name in ("direct_gain", "backscatter_gain", "effective_gain",
+                 "best_tag_index"):
+        assert np.array_equal(getattr(state, name), getattr(ref, name)), name
+    return state
+
+
+class TestScreenedBestTag:
+    """The dB screen plus exact re-check picks what the exact formula
+    over the whole UE x tag block picks."""
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 1.0])
+    def test_sampled_deployments_match_full_block(self, beta):
+        params = ChannelParams(reflection_coeff=beta)
+        for seed, n_ues, n_tags in itertools.product(
+                range(5), (1, 2, 13, 55, 100), (0, 1, 2, 10, 1000)):
+            config = SimConfig(n_ues=n_ues, n_tags=n_tags, channel=params)
+            assert_matches_full_block(sample_deployment(config, seed),
+                                      params)
+
+    def test_exact_tie_goes_to_lower_index(self):
+        # tags 1 and 2 mirror each other about the UE below the UAV
+        dep = Deployment(positions([0], [0], 1.5),
+                         positions([50, -10, 10], [0, 0, 0], 1.0),
+                         uav_at(0, 0, 100))
+        params = ChannelParams()
+        g = [cascaded_backscatter_gain(dep.ue_positions[0], tag,
+                                       dep.uav_position, params)
+             for tag in dep.tag_positions]
+        assert g[1] == g[2] > g[0]
+        state = assert_matches_full_block(dep, params)
+        assert np.array_equal(state.best_tag_index, [1])
+
+    def test_near_tie_inside_window_decided_exactly(self):
+        # tag 0 sits 1e-8 m farther out than tag 1's mirror image
+        dep = Deployment(positions([0], [0], 1.5),
+                         positions([-10.00000001, 10], [0, 0], 1.0),
+                         uav_at(0, 0, 100))
+        params = ChannelParams()
+        g = [cascaded_backscatter_gain(dep.ue_positions[0], tag,
+                                       dep.uav_position, params)
+             for tag in dep.tag_positions]
+        gap_db = 10.0 * math.log10(g[1] / g[0])
+        assert 0.0 < gap_db < SCREEN_TOL_DB
+        state = assert_matches_full_block(dep, params)
+        assert np.array_equal(state.best_tag_index, [1])
+
+    @pytest.mark.parametrize("gap_db", [-1e-3, 1e-3])
+    def test_distance_traded_against_elevation(self, gap_db):
+        # tag 0, raised to 10 m, sees the UE at a higher elevation than
+        # tag 1 and is moved out until its gain is gap_db below tag 1's,
+        # so the screen's LoS term decides the ranking
+        ue, uav = Position(0, 0, 1.5), Position(0, 0, 100)
+        params = ChannelParams()
+
+        def gap(y):
+            return 10.0 * math.log10(
+                cascaded_backscatter_gain(ue, Position(10, 0, 1), uav, params)
+                / cascaded_backscatter_gain(ue, Position(0, y, 10), uav,
+                                            params)) - gap_db
+
+        lo, hi = 1.0, 200.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if gap(mid) < 0 else (lo, mid)
+        assert gap(hi) == pytest.approx(0.0, abs=1e-9)
+        dep = Deployment(positions([0], [0], 1.5),
+                         positions([0, 10], [hi, 0], [10, 1]),
+                         uav_at(0, 0, 100))
+        state = assert_matches_full_block(dep, params)
+        assert np.array_equal(state.best_tag_index, [1 if gap_db > 0 else 0])
+
+    def test_far_tags_underflow_to_tag_zero(self):
+        # exact gains all underflow; the squared distances of tags 0 and
+        # 2 overflow in the screen, so tag 1 is the only candidate
+        far = positions([1e200, 1e150, 0], [0, 0, -1e200], 1.0)
+        ues = positions([0, 100], [0, -50], 1.5)
+        dep = Deployment(ues, far, uav_at(0, 0, 100))
+        state = assert_matches_full_block(dep, ChannelParams())
+        assert np.array_equal(state.best_tag_index, [0, 0])
+        assert np.array_equal(state.backscatter_gain, [0.0, 0.0])
+        assert np.array_equal(state.effective_gain, state.direct_gain)
+        # one tag in range wins over the far ones
+        mixed = positions([1e200, 20], [0, 0], 1.0)
+        state = assert_matches_full_block(
+            Deployment(ues, mixed, uav_at(0, 0, 100)), ChannelParams())
+        assert np.array_equal(state.best_tag_index, [1, 1])
+        assert np.all(state.backscatter_gain > 0)
+
+    def test_tag_on_a_ue_or_on_the_uav_rejected(self):
+        ues = positions([0, 5], [0, 5], [1.5, 1.0])
+        on_ue = Deployment(ues, positions([30, 5], [0, 5], 1.0),
+                           uav_at(0, 0, 100))
+        on_uav = Deployment(ues, positions([30, 0], [0, 0], [1.0, 100]),
+                            uav_at(0, 0, 100))
+        for dep, gains in itertools.product(
+                (on_ue, on_uav), (effective_gains, full_block_gains)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="distance must be > 0"):
+                    gains(dep, ChannelParams())
 
 
 class TestNoisePower:

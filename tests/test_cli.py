@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import subprocess
@@ -187,6 +188,14 @@ class TestRunCli:
                             "single"])
         assert code == EXIT_CONFIG
 
+    def test_non_utf8_config_file_exit_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        code, _, err = run(["--out", str(tmp_path), "--config", str(bad),
+                            "single"])
+        assert code == EXIT_CONFIG
+        assert err.startswith("configuration error: cannot read config ")
+
     def test_unwritable_out_exit_3(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -217,6 +226,16 @@ class TestRunCli:
     def test_main_returns_exit_code(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), *FAST, "single"]) == EXIT_OK
         capsys.readouterr()
+
+    def test_main_writes_to_the_current_streams(self, tmp_path):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["--out", str(tmp_path), *FAST, "single"]) == EXIT_OK
+        assert "mean triad-vs-baseline improvement" in out.getvalue()
+        with contextlib.redirect_stderr(err):
+            assert main(["--out", str(tmp_path), "--set", "n_ues=0",
+                         "single"]) == EXIT_CONFIG
+        assert err.getvalue().startswith("configuration error: ")
 
 
 def test_cli_imports_without_scipy():
