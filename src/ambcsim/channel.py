@@ -12,20 +12,27 @@ deterministic: it evaluates the mean path loss, no fading is drawn.
 A backscatter tag contributes the cascaded two-hop gain
 beta * g(ue -> tag) * g(tag -> uav).  Only the best tag per UE is kept
 and its gain is power-summed with the direct path (non-coherent
-combining).  The best tag is picked by a dB screen of every UE-tag pair;
-the exact cascaded gain is evaluated only on the screen's winners (see
-effective_gains).
+combining).  A bound in the linear domain, from squared horizontal
+distances and each tag's exact hop-2 gain, rules out nearly every UE-tag
+pair; the exact cascaded gain is evaluated only on the pairs it keeps
+(see _best_tags).
 """
 
+import functools
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-# Window, in dB above each UE's best screen score, of the tags that
-# effective_gains re-checks with the exact formula.
-SCREEN_TOL_DB = 1e-6
+# A UE-tag pair whose horizontal distance exceeds z_hi / FAR_TAN, z_hi
+# bounding the UE-tag height gaps, is "far": its elevation is at most
+# atan(FAR_TAN) (see _best_tags).
+FAR_TAN = 0.05
+# Relative slack of the best-tag bound test, far above the rounding error
+# of the exact path (about 1e-13 relative).
+BOUND_SLACK = 1e-9
 
 # Points in cell coordinates; z is height above ground in meters.  The
 # element type is np.record, so one point reads as p.x, p.y, p.z, and a
@@ -94,12 +101,25 @@ def a2g_path_loss(distance, angle, params: ChannelParams):
     d = np.asarray(distance, dtype=float)
     if (d <= 0.0).any():
         raise ValueError("distance must be > 0")
-    theta_deg = np.degrees(np.asarray(angle, dtype=float))
-    a, b = params.plos_a, params.plos_b
-    p_los = 1.0 / (1.0 + a * np.exp(-b * (theta_deg - a)))
+    p_los = _los_probability(np.degrees(np.asarray(angle, dtype=float)),
+                             params)
     fspl = 20.0 * np.log10(4.0 * np.pi * d * params.carrier_freq / SPEED_OF_LIGHT)
     loss = fspl + p_los * params.eta_los + (1.0 - p_los) * params.eta_nlos
     return float(loss) if np.isscalar(distance) else loss
+
+
+def _los_probability(theta_deg, params: ChannelParams):
+    """Logistic LoS probability at elevation theta_deg in [-90, 90] deg."""
+    a, b = params.plos_a, params.plos_b
+    if a == 0.0:
+        # a exp(...) would be 0 * inf = nan where exp overflows
+        return np.ones_like(theta_deg)
+    # a exp(b (a - theta)) overflows, meaning P_LoS = 0, only where
+    # log(a) + b (a - theta) passes about 709; errstate (about 2 us a
+    # call) is entered only if that can happen
+    can_overflow = math.log(a) + a * b + 90.0 * abs(b) > 700.0
+    with np.errstate(over="ignore") if can_overflow else nullcontext():
+        return 1.0 / (1.0 + a * np.exp(-b * (theta_deg - a)))
 
 
 def noise_power(bandwidth: float, noise_psd: float) -> float:
@@ -109,10 +129,11 @@ def noise_power(bandwidth: float, noise_psd: float) -> float:
     return 10.0 ** ((noise_psd + 10.0 * math.log10(bandwidth) - 30.0) / 10.0)
 
 
-def _link_loss(dx, dy, dz, params: ChannelParams):
-    """a2g_path_loss of links with coordinate offsets (dx, dy, dz)."""
+def _link_gain(dx, dy, dz, params: ChannelParams):
+    """Linear gain of links with coordinate offsets (dx, dy, dz)."""
     horiz = np.hypot(dx, dy)
-    return a2g_path_loss(np.hypot(horiz, dz), np.arctan2(dz, horiz), params)
+    loss = a2g_path_loss(np.hypot(horiz, dz), np.arctan2(dz, horiz), params)
+    return 10.0 ** (-loss / 10.0)
 
 
 def effective_gains(deployment, params: ChannelParams,
@@ -123,68 +144,89 @@ def effective_gains(deployment, params: ChannelParams,
     break toward the lowest index.  With backscatter disabled (or no
     tags, or beta = 0) the effective gain reduces to the direct gain.
 
-    A screen scores every UE-tag pair in dB: each hop scores
-    10 log10(d^2) + (eta_los - eta_nlos) P_LoS(theta), its path loss
-    less a constant, and the pair scores the sum of its two hops.  The
-    exact cascaded gain is then evaluated only on the pairs within
-    SCREEN_TOL_DB of their UE's best score, all other pairs count as 0,
-    and the argmax is taken.  The screen's rounding error (under 2e-13 dB
-    on sampled deployments) is far inside that window, so the result is
-    bit-identical to the argmax of the exact gains over the whole block;
-    a UE whose gains all underflow picks tag 0.
+    The exact cascaded gain is evaluated only on the UE-tag pairs that a
+    bound cannot rule out (see _best_tags); all other pairs count as 0
+    and the argmax is taken.  The result is bit-identical to the argmax
+    of the exact gains over the whole block; a UE whose gains all
+    underflow picks tag 0.
     """
     ues = deployment.ue_positions
     if ues.size == 0:
         raise ValueError("deployment must contain at least one UE")
-    ax, ay, az = deployment.uav_position.item()
-    direct = 10.0 ** (-_link_loss(ax - ues["x"], ay - ues["y"],
-                                  az - ues["z"], params) / 10.0)
-
-    n = ues.size
-    backscatter = np.zeros(n)
-    best = np.full(n, -1)
-
     tags = deployment.tag_positions
+    n = ues.size
+    ax, ay, az = deployment.uav_position.item()
     if ambc_enabled and tags.size and params.reflection_coeff > 0.0:
-        # contiguous coordinate rows x, y, z: the UEs then the UAV, the tags
-        u = np.empty((3, n + 1))
-        u[:, :n] = ues["x"], ues["y"], ues["z"]
-        u[:, n] = ax, ay, az
-        t = np.array([tags["x"], tags["y"], tags["z"]])
-        a, b = params.plos_a, params.plos_b
-        # screen, in place over (3, n_ue + 1, n_tag); a squared distance
-        # past the float range scores inf, a point on a tag -inf (then
-        # rejected by the exact re-check)
-        with np.errstate(over="ignore", divide="ignore"):
-            sq = u[:, :, None] - t[:, None, :]
-            sq *= sq
-            h, score, dz = sq                 # dx^2, dy^2, dz^2 to start
-            h += score                        # horizontal^2
-            np.add(h, dz, out=score)          # d^2
-            np.sqrt(sq[::2], out=sq[::2])     # horizontal, |dz|
-            # h becomes (eta_los - eta_nlos) P_LoS(theta)
-            np.arctan2(dz, h, out=h)
-            h *= -b * 180.0 / np.pi
-            h += a * b
-            np.exp(h, out=h)
-            h *= a
-            h += 1.0
-            np.divide(params.eta_los - params.eta_nlos, h, out=h)
-            np.log10(score, out=score)
-            score *= 10.0
-            score += h
-            score = score[:n] + score[n]      # hop 1 + hop 2 (UAV row)
-        i, j = (score <= score.min(axis=1, keepdims=True)
-                + SCREEN_TOL_DB).nonzero()
-        # exact gains of both hops of every candidate, hop 2 from the UAV
-        k = i.size
-        dx, dy, dz = (u[:, np.concatenate((i, np.full(k, n)))]
-                      - t[:, np.concatenate((j, j))])
-        g = 10.0 ** (-_link_loss(dx, dy, np.abs(dz), params) / 10.0)
-        cascaded = np.zeros((n, tags.size))
-        cascaded[i, j] = params.reflection_coeff * g[:k] * g[k:]
-        best = cascaded.argmax(axis=1)  # ties -> lowest index
-        backscatter = cascaded[np.arange(n), best]
+        # contiguous coordinate rows x, y, z: the UEs, then the tags
+        xyz = np.empty((3, n + tags.size))
+        xyz[:, :n] = ues["x"], ues["y"], ues["z"]
+        xyz[:, n:] = tags["x"], tags["y"], tags["z"]
+        # the UEs' direct paths and the tags' hop 2 in one pass
+        dz = az - xyz[2]
+        np.abs(dz[n:], out=dz[n:])
+        g = _link_gain(ax - xyz[0], ay - xyz[1], dz, params)
+        direct = g[:n]
+        best, backscatter = _best_tags(xyz, g[n:], params)
+    else:
+        direct = _link_gain(ax - ues["x"], ay - ues["y"], az - ues["z"],
+                            params)
+        best, backscatter = np.full(n, -1), np.zeros(n)
+    return ChannelState(direct, backscatter, direct + backscatter, best)
 
-    effective = direct + backscatter
-    return ChannelState(direct, backscatter, effective, best)
+
+@functools.lru_cache(maxsize=8)
+def _far_ratio(params: ChannelParams) -> float:
+    """Bound on how far a far pair's gain can exceed its lower bound
+    g2 / (s + z_hi^2), relative to any pair's (see _best_tags)."""
+    p0, p_far, p90 = _los_probability(
+        np.array([0.0, math.degrees(math.atan(FAR_TAN)), 90.0]), params)
+    # largest LoS factor of a far pair over the smallest of any pair
+    los = 10.0 ** ((params.eta_nlos - params.eta_los)
+                   * (max(p0, p_far) - min(p0, p90)) / 10.0)
+    return los * (1.0 + FAR_TAN * FAR_TAN)
+
+
+def _best_tags(xyz, g2, params: ChannelParams):
+    """(best tag index, its cascaded gain) of every UE, given the
+    coordinate rows xyz of the UEs then the tags and the exact hop-2 gain
+    g2 of every tag.
+
+    A pair's cascaded gain is beta g2 (c / 4 pi f)^2 / d^2 times the LoS
+    factor 10^-((eta_nlos + (eta_los - eta_nlos) P_LoS) / 10).  Let s be
+    the squared horizontal distance and z_hi a bound on the UE-tag height
+    gaps, so d^2 lies in [s, s + z_hi^2].  P_LoS is monotone in the
+    elevation, which lies in [0, 90 deg], and in [0, atan(FAR_TAN)] for
+    a far pair, one with s > (z_hi / FAR_TAN)^2; a far pair also has
+    s + z_hi^2 < (1 + FAR_TAN^2) s.  So, up to a factor common to all
+    pairs, every pair's gain is at least q = g2 / (s + z_hi^2) and a far
+    pair's at most _far_ratio q.  A far pair whose upper bound falls
+    short of its UE's largest lower bound, less BOUND_SLACK for rounding,
+    cannot win; every other pair gets the exact formula.  This holds
+    wherever the winning exact gain is 0 or above about 5e-315; below
+    that, subnormal rounding could make a ruled-out pair tie the winner.
+    """
+    m = g2.size
+    n = xyz.shape[1] - m
+    z_hi = xyz[2].max() - xyz[2].min()
+    # one (2, n, m) block: dx^2 and dy^2, then s and q, then the cascaded
+    # gains in place of s; fresh blocks would page-fault on every call
+    buf = np.empty((2, n, m))
+    s, q = buf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        np.subtract(xyz[:2, :n, None], xyz[:2, None, n:], out=buf)
+        buf *= buf
+        s += q
+        keep = s <= (z_hi / FAR_TAN) ** 2         # near pairs
+        np.add(s, z_hi * z_hi, out=q)
+        np.divide(g2, q, out=q)
+        floor = q.max(axis=1) * ((1.0 - BOUND_SLACK) / _far_ratio(params))
+        keep |= q >= floor[:, None]
+    # the flat nonzero is ~10x faster than the 2-d one on large blocks
+    i, j = np.unravel_index(keep.ravel().nonzero()[0], keep.shape)
+    dx, dy, dz = xyz.take(i, axis=1) - xyz[:, n:].take(j, axis=1)
+    g1 = _link_gain(dx, dy, np.abs(dz), params)
+    cascaded = buf[0]
+    cascaded.fill(0.0)
+    cascaded[i, j] = params.reflection_coeff * g1 * g2[j]
+    best = cascaded.argmax(axis=1)  # ties -> lowest index
+    return best, cascaded[np.arange(n), best]

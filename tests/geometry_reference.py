@@ -6,7 +6,8 @@ Each takes any object with ``x``, ``y`` and ``z`` attributes: a
 ``Position`` here or one element of an ``ambcsim.channel.positions``
 record array.  ``full_block_gains`` evaluates the exact cascaded gain of
 every UE-tag pair and takes the argmax, the computation that
-``effective_gains`` narrows to a screen and a re-check of the winners.
+``effective_gains`` narrows with a distance bound to the pairs that the
+bound cannot rule out, re-checked with the exact formula.
 """
 
 import math

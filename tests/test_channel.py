@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -5,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ambcsim.channel import (ChannelParams, a2g_path_loss, effective_gains,
-                             noise_power, positions, SCREEN_TOL_DB,
+from ambcsim.channel import (FAR_TAN, ChannelParams, a2g_path_loss,
+                             effective_gains, noise_power, positions,
                              SPEED_OF_LIGHT)
 from ambcsim.config import SimConfig
 from ambcsim.harness import Deployment, sample_deployment
@@ -73,6 +74,39 @@ class TestA2gPathLoss:
             d = np.sort(rng.uniform(1.0, 1000.0, size=50))
             losses = a2g_path_loss(d, angle, ChannelParams())
             assert np.all(np.diff(losses) > 0)
+
+    def test_logistic_los_probability_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        d = rng.uniform(1.0, 1000.0, 200)
+        angle = rng.uniform(0.0, math.pi / 2, 200)
+        for p in (ChannelParams(), ChannelParams(plos_a=0.5, plos_b=-0.3)):
+            a, b = p.plos_a, p.plos_b
+            p_los = 1.0 / (1.0 + a * np.exp(-b * (np.degrees(angle) - a)))
+            fspl = 20.0 * np.log10(4.0 * np.pi * d * p.carrier_freq
+                                   / SPEED_OF_LIGHT)
+            expected = fspl + p_los * p.eta_los + (1.0 - p_los) * p.eta_nlos
+            assert np.array_equal(a2g_path_loss(d, angle, p), expected)
+
+    def test_zero_plos_a_is_pure_los(self):
+        # 1 / (1 + 0 exp(...)) is 1 even where exp(...) overflows
+        p = ChannelParams(plos_a=0.0, plos_b=-10.0)
+        angles = np.linspace(0.0, math.pi / 2, 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = a2g_path_loss(100.0, 1.5, p)
+            losses = a2g_path_loss(np.full(7, 100.0), angles, p)
+        assert loss == a2g_path_loss(100.0, 1.5, FLAT) + p.eta_los
+        assert np.array_equal(losses, np.full(7, loss))
+
+    @pytest.mark.parametrize("p", [
+        ChannelParams(plos_a=0.001, plos_b=-10.0),  # exp(859) overflows
+        ChannelParams(plos_a=1e10, plos_b=6.9e-8),  # 1e10 exp(690) does
+    ], ids=["exp", "product"])
+    def test_overflow_is_pure_nlos_without_warning(self, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = a2g_path_loss(100.0, 1.5, p)
+        assert loss == a2g_path_loss(100.0, 1.5, FLAT) + p.eta_nlos
 
 
 class TestCascadedBackscatterGain:
@@ -223,9 +257,36 @@ def assert_matches_full_block(dep, params):
     return state
 
 
+def mixed_height_deployments():
+    """Random UE and tag heights, so the UE-tag height gaps vary; with
+    the UAV at 4 m, some tags are above it."""
+    rng = np.random.default_rng(23)
+    for n_ues, n_tags, uav_z in itertools.product((1, 13, 100),
+                                                  (2, 10, 1000), (100, 4)):
+        ues = positions(*rng.uniform(-300, 300, (2, n_ues)),
+                        rng.uniform(0.0, 3.0, n_ues))
+        tags = positions(*rng.uniform(-300, 300, (2, n_tags)),
+                         rng.uniform(0.0, 6.0, n_tags))
+        yield Deployment(ues, tags, uav_at(*rng.uniform(-50, 50, 2), uav_z))
+
+
+def near_tag_deployments():
+    """Every UE has tags within 15 m, some inside and some outside the
+    near radius z_hi / FAR_TAN (10 m at these heights), among far ones."""
+    rng = np.random.default_rng(29)
+    for n_ues in (1, 13, 100):
+        ues = random_points(rng, n_ues, 300, 1.5)
+        r = rng.uniform(0.0, 15.0, (n_ues, 4))
+        phi = rng.uniform(0.0, 2.0 * math.pi, (n_ues, 4))
+        near = positions((ues["x"][:, None] + r * np.cos(phi)).ravel(),
+                         (ues["y"][:, None] + r * np.sin(phi)).ravel(), 1.0)
+        tags = np.concatenate((random_points(rng, 50, 300, 1.0), near))
+        yield Deployment(ues, tags, uav_at(0, 0, 100))
+
+
 class TestScreenedBestTag:
-    """The dB screen plus exact re-check picks what the exact formula
-    over the whole UE x tag block picks."""
+    """The distance bound plus exact re-check picks what the exact
+    formula over the whole UE x tag block picks."""
 
     @pytest.mark.parametrize("beta", [0.3, 0.5, 1.0])
     def test_sampled_deployments_match_full_block(self, beta):
@@ -259,7 +320,7 @@ class TestScreenedBestTag:
                                        dep.uav_position, params)
              for tag in dep.tag_positions]
         gap_db = 10.0 * math.log10(g[1] / g[0])
-        assert 0.0 < gap_db < SCREEN_TOL_DB
+        assert 0.0 < gap_db < 1e-6
         state = assert_matches_full_block(dep, params)
         assert np.array_equal(state.best_tag_index, [1])
 
@@ -267,7 +328,7 @@ class TestScreenedBestTag:
     def test_distance_traded_against_elevation(self, gap_db):
         # tag 0, raised to 10 m, sees the UE at a higher elevation than
         # tag 1 and is moved out until its gain is gap_db below tag 1's,
-        # so the screen's LoS term decides the ranking
+        # so the LoS term decides the ranking
         ue, uav = Position(0, 0, 1.5), Position(0, 0, 100)
         params = ChannelParams()
 
@@ -288,9 +349,41 @@ class TestScreenedBestTag:
         state = assert_matches_full_block(dep, params)
         assert np.array_equal(state.best_tag_index, [1 if gap_db > 0 else 0])
 
+    @pytest.mark.parametrize("x0, gap_db", [
+        (60.0, -1e-3), (60.0, 1e-3),
+        (2.0 / FAR_TAN * (1.0 + 1e-9), 1e-7),  # just past the near radius
+    ])
+    def test_level_tag_traded_against_raised_tag(self, x0, gap_db):
+        # tag 0, x0 m out, is level with the UE and tag 1 is 2 m above it,
+        # with no LoS term; tag 1 is moved until tag 0's gain is gap_db
+        # above its own, inside the 1 + FAR_TAN^2 factor the bound allows
+        # a far pair for the height gap.  Just past the near radius 2 /
+        # FAR_TAN, tag 0's upper bound exceeds its gain by about 1e-11.
+        ue, uav = Position(0, 0, 1.5), Position(0, 0, 100)
+        params = ChannelParams(eta_los=6.0, eta_nlos=6.0)
+
+        def gap(x):
+            return 10.0 * math.log10(
+                cascaded_backscatter_gain(ue, Position(x0, 0, 1.5), uav,
+                                          params)
+                / cascaded_backscatter_gain(ue, Position(-x, 0, 3.5), uav,
+                                            params)) - gap_db
+
+        lo, hi = 20.0, 80.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if gap(mid) < 0 else (lo, mid)
+        assert gap(hi) == pytest.approx(0.0, abs=1e-10)
+        dep = Deployment(positions([0], [0], 1.5),
+                         positions([x0, -hi], [0, 0], [1.5, 3.5]),
+                         uav_at(0, 0, 100))
+        state = assert_matches_full_block(dep, params)
+        assert np.array_equal(state.best_tag_index, [0 if gap_db > 0 else 1])
+
     def test_far_tags_underflow_to_tag_zero(self):
-        # exact gains all underflow; the squared distances of tags 0 and
-        # 2 overflow in the screen, so tag 1 is the only candidate
+        # exact gains all underflow, hop 2 alone too, so every lower bound
+        # is 0 and every pair is re-checked; the squared horizontal
+        # distances of tags 0 and 2 overflow in the bound
         far = positions([1e200, 1e150, 0], [0, 0, -1e200], 1.0)
         ues = positions([0, 100], [0, -50], 1.5)
         dep = Deployment(ues, far, uav_at(0, 0, 100))
@@ -304,6 +397,57 @@ class TestScreenedBestTag:
             Deployment(ues, mixed, uav_at(0, 0, 100)), ChannelParams())
         assert np.array_equal(state.best_tag_index, [1, 1])
         assert np.all(state.backscatter_gain > 0)
+
+    def test_mixed_heights_match_full_block(self):
+        for dep in mixed_height_deployments():
+            gaps = np.abs(dep.ue_positions["z"][:, None]
+                          - dep.tag_positions["z"])
+            assert gaps.min() < gaps.max()
+            assert_matches_full_block(dep, ChannelParams(reflection_coeff=0.3))
+
+    def test_tags_near_ues_match_full_block(self):
+        for dep in near_tag_deployments():
+            ues, tags = dep.ue_positions, dep.tag_positions
+            horiz = np.hypot(ues["x"][:, None] - tags["x"],
+                             ues["y"][:, None] - tags["y"])
+            near = horiz <= 0.5 / FAR_TAN
+            assert near.any() and not near.all()
+            state = assert_matches_full_block(
+                dep, ChannelParams(reflection_coeff=0.3))
+            assert np.all(state.backscatter_gain > 0)
+
+    @pytest.mark.parametrize("params", [
+        ChannelParams(plos_b=-0.2),                  # P_LoS falls with angle
+        ChannelParams(plos_a=0.5, plos_b=-10.0),     # exp overflows
+        ChannelParams(eta_los=6.0, eta_nlos=6.0),    # no LoS term
+        ChannelParams(plos_a=0.0, plos_b=-10.0),     # P_LoS = 1
+    ], ids=["b<0", "exp-overflow", "eta-equal", "a=0"])
+    def test_los_parameters_match_full_block(self, params):
+        params = dataclasses.replace(params, reflection_coeff=0.3)
+        sampled = (sample_deployment(SimConfig(n_ues=n_ues, n_tags=n_tags,
+                                               channel=params), seed)
+                   for seed, n_ues, n_tags in itertools.product(
+                       range(2), (1, 55), (10, 1000)))
+        for dep in itertools.chain(sampled, mixed_height_deployments(),
+                                   near_tag_deployments()):
+            assert_matches_full_block(dep, params)
+
+    def test_exact_formula_reaches_few_pairs(self, monkeypatch):
+        # a structural guard in place of a timing test
+        sizes = []
+
+        def recording(distance, angle, params):
+            sizes.append(np.size(distance))
+            return a2g_path_loss(distance, angle, params)
+
+        monkeypatch.setattr("ambcsim.channel.a2g_path_loss", recording)
+        config = SimConfig(n_ues=100, n_tags=1000)
+        for seed in range(5):
+            sizes.clear()
+            effective_gains(sample_deployment(config, seed), config.channel)
+            # one pass over the 1100 links to the UAV, then the UE-tag pairs
+            assert sizes[0] == 1100
+            assert sum(sizes[1:]) < 0.01 * 100 * 1000
 
     def test_tag_on_a_ue_or_on_the_uav_rejected(self):
         ues = positions([0, 5], [0, 5], [1.5, 1.0])

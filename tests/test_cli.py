@@ -176,6 +176,16 @@ class TestRunCli:
         assert code == EXIT_CONFIG
         assert key in err
 
+    def test_zero_plos_a_runs(self, tmp_path):
+        # P_LoS = 1 at every elevation; 0 * exp(overflow) once made it NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(["--out", str(tmp_path), "--trials", "2",
+                                "--set", "channel.plos_a=0",
+                                "--set", "channel.plos_b=-10",
+                                "sweep-users"])
+        assert code == EXIT_OK, err
+
     def test_unknown_key_exit_2(self, tmp_path):
         code, _, err = run(["--out", str(tmp_path), "--set", "bogus=1",
                             "single"])
@@ -243,6 +253,21 @@ def test_cli_imports_without_scipy():
     src = str(Path(ambcsim.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); "
             f"sys.modules['scipy'] = None; import ambcsim.cli")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+def test_runs_leave_numpy_ma_unimported(tmp_path):
+    # numpy.ma adds about 1.5 MB of resident memory and nothing needs it
+    src = str(Path(ambcsim.__file__).resolve().parents[1])
+    runs = [["--out", str(tmp_path / "single"), "single"],
+            ["--out", str(tmp_path / "dense"), "--trials", "1",
+             "--set", "n_tags=1000", "sweep-users"]]
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            f"from ambcsim.cli import main; "
+            f"assert all(main(argv) == 0 for argv in {runs!r}); "
+            f"assert 'numpy.ma' not in sys.modules")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
