@@ -26,10 +26,10 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_SIM = 4
 
-_INT_FIELDS = {"n_subcarriers", "n_ues", "n_tags", "k_max", "n_trials",
-               "seed"}
-_BOOL_FIELDS = {"ambc_enabled"}
 _SIM_FIELDS = {f.name for f in dataclasses.fields(SimConfig)}
+_INT_FIELDS = {f.name for f in dataclasses.fields(SimConfig) if f.type is int}
+_BOOL_FIELDS = {f.name for f in dataclasses.fields(SimConfig)
+                if f.type is bool}
 _CHANNEL_FIELDS = {f.name for f in dataclasses.fields(ChannelParams)}
 
 DEFAULT_UE_COUNTS = list(range(10, 101, 10))
@@ -50,6 +50,9 @@ def _coerce(key, raw):
             if str(raw).lower() in ("false", "0"):
                 return False
             raise ValueError("expected true/false")
+        if isinstance(raw, bool):
+            # int(True) and float(False) would pass a JSON boolean as 1, 0
+            raise ValueError("expected a number, not a boolean")
         if key in _INT_FIELDS:
             if isinstance(raw, float) and not raw.is_integer():
                 raise ValueError("expected an integer")

@@ -1,6 +1,6 @@
 """Scenario configuration with case-study defaults."""
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 from .channel import ChannelParams
 
@@ -54,8 +54,7 @@ class SimConfig:
         if not self.uav_altitude > max(UE_HEIGHT, TAG_HEIGHT):
             raise ConfigError(f"uav_altitude must be above the UE and tag "
                               f"heights ({UE_HEIGHT} m, {TAG_HEIGHT} m)")
-        for key in ["n_subcarriers", "n_ues", "k_max", "n_trials", "n_tags",
-                    "seed"]:
+        for key in (f.name for f in fields(self) if f.type is int):
             value = getattr(self, key)
             if isinstance(value, bool) or not hasattr(value, "__index__"):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")

@@ -48,9 +48,6 @@ class TrialModeResult:
     k: int
     f_statistic: float
     served_mask: np.ndarray
-    max_power: float         # largest served transmit power, W
-    min_rate_margin: float   # min over served of achieved/required - 1
-    subcarrier_total: int
     solutions: list
     plan: ClusterPlan
     breakdown: EeBreakdown
@@ -67,9 +64,6 @@ class TrialRecord:
     outage: int
     k: int
     f_statistic: float
-    max_power: float
-    min_rate_margin: float
-    subcarrier_total: int
 
 
 @dataclass
@@ -133,8 +127,6 @@ def evaluate_mode(config: SimConfig, deployment: Deployment, ambc_enabled,
     n = state.effective_gain.size
     served_mask = np.zeros(n, dtype=bool)
     solutions = []
-    max_power = 0.0
-    min_margin = math.inf
     for c in range(plan.k):
         idx = np.where(plan.assignment == c)[0]
         bw = float(plan.subcarriers_per_cluster[c]) * subcarrier_bw
@@ -142,13 +134,7 @@ def evaluate_mode(config: SimConfig, deployment: Deployment, ambc_enabled,
         sol = iterative_power_allocation(state.effective_gain[idx], demand,
                                          bw, noise, config.p_max)
         solutions.append(sol)
-        in_service = ~sol.outage
-        served_mask[idx[in_service]] = True
-        if in_service.any():
-            max_power = max(max_power, float(sol.power[in_service].max()))
-            min_margin = min(min_margin, float(
-                (sol.achieved_rate[in_service] / demand.required_rate
-                 - 1.0).min()))
+        served_mask[idx[~sol.outage]] = True
 
     breakdown = compute_ee(solutions, demand,
                            dbm_to_watts(config.circuit_power))
@@ -156,8 +142,6 @@ def evaluate_mode(config: SimConfig, deployment: Deployment, ambc_enabled,
         mode=mode, ee=breakdown.ee, served=breakdown.served_count,
         outage=breakdown.outage_count, k=plan.k,
         f_statistic=plan.f_statistic, served_mask=served_mask,
-        max_power=max_power, min_rate_margin=min_margin,
-        subcarrier_total=int(plan.subcarriers_per_cluster.sum()),
         solutions=solutions, plan=plan, breakdown=breakdown)
 
 
@@ -200,9 +184,7 @@ def _sweep(config: SimConfig, name, values, make_cfg) -> EeReport:
                 records.append(TrialRecord(
                     sweep_value=value, trial=t, trial_seed=ts, mode=r.mode,
                     ee=r.ee, served=r.served, outage=r.outage, k=r.k,
-                    f_statistic=r.f_statistic, max_power=r.max_power,
-                    min_rate_margin=r.min_rate_margin,
-                    subcarrier_total=r.subcarrier_total))
+                    f_statistic=r.f_statistic))
     return EeReport(sweep=name, records=records,
                     aggregates=_aggregate(records))
 

@@ -5,8 +5,10 @@ weakest UE is interference-free and each stronger UE sees the weaker,
 still-undecoded UEs as interference.  With a common SINR target gamma,
 the minimum received powers form an exact ladder: the served UE of rank
 r (0 = weakest) is received at gamma N (1 + gamma)^r, so it transmits
-that over its gain.  UEs whose power would exceed the budget are dropped
-(outage) one at a time and the ladder is re-solved over the rest.
+that over its gain.  Admission control is one scan from the weakest UE
+up: a UE is served iff its power at the next free rank fits the budget,
+otherwise it is in outage.  The scan serves the largest number of UEs
+any feasible set can serve.
 """
 
 from dataclasses import dataclass
@@ -45,7 +47,9 @@ class PowerSolution:
     power: np.ndarray          # watts, 0 for outage UEs
     achieved_rate: np.ndarray  # bits/s, 0 for outage UEs
     outage: np.ndarray         # bool
-    iterations: int            # ladder solves: 1 + the UEs dropped
+    # Always 1: the scan solves the ladder once.  Kept because the
+    # benchmark's power.fixed_point_sweeps_per_trial metric reads it.
+    iterations: int
 
 
 @dataclass
@@ -53,7 +57,6 @@ class EeBreakdown:
     total_bits: float
     total_energy: float        # joules
     ee: float                  # bits/joule, 0 when nothing is served
-    circuit_power: float       # watts per served UE
     served_count: int
     outage_count: int
 
@@ -73,10 +76,17 @@ def iterative_power_allocation(cluster_gains, demand: RateDemand,
                                cluster_bandwidth, noise, p_max):
     """Minimum-power allocation for one cluster with admission control.
 
-    Each round solves the served set on the SIC ladder.  While the
-    largest served power exceeds p_max, that UE (the lowest index on
-    ties) is dropped and the next round re-ranks the rest.  A power that
-    overflows is infinite and is dropped like any other.
+    The UEs are scanned weakest first, and a UE is admitted iff it fits
+    at the next free rank: rungs[len(admitted)] / g <= p_max.  A later
+    admission is stronger, so it never changes an admitted UE's rank and
+    the admitted set is feasible.  The scan serves the most UEs: by an
+    exchange argument, on every weakest-first prefix it has admitted at
+    least as many UEs as any feasible set holds there.  A power that
+    overflows is infinite and never fits.
+
+    Tie rule: among the largest feasible sets the scan takes the one
+    that admits the weaker UE first, and among equal gains the higher
+    index, because the weakest-first order reverses ascending index.
     """
     gains = np.asarray(cluster_gains, dtype=float)
     n = gains.size
@@ -88,20 +98,21 @@ def iterative_power_allocation(cluster_gains, demand: RateDemand,
     gamma = sinr_gamma(demand.required_rate, cluster_bandwidth)
     # Weakest first: strongest first with ties by ascending index, reversed.
     order = np.argsort(-gains, kind="stable")[::-1]
-    served = np.ones(n, dtype=bool)
-    solves = 0
     with np.errstate(over="ignore"):
         # Received power at served rank r = 0, 1, ... (0 = weakest).
         rungs = gamma * noise * (1.0 + gamma) ** np.arange(n)
-        while True:
-            solves += 1
-            ladder = order[served[order]]
-            p = np.zeros(n)
-            p[ladder] = rungs[:ladder.size] / gains[ladder]
-            worst = int(np.argmax(np.where(served, p, -np.inf)))
-            if ladder.size == 0 or p[worst] <= p_max:
-                break
-            served[worst] = False
+    # Python floats divide with the same IEEE rounding as numpy, so the
+    # test matches the powers computed below bit for bit.
+    rung = rungs.tolist()
+    admitted = []
+    for i, g in zip(order.tolist(), gains[order].tolist()):
+        if rung[len(admitted)] / g <= p_max:
+            admitted.append(i)
+    ladder = np.array(admitted, dtype=np.intp)
+    p = np.zeros(n)
+    p[ladder] = rungs[:ladder.size] / gains[ladder]
+    outage = np.ones(n, dtype=bool)
+    outage[ladder] = False
 
     # Achieved rates from the returned powers, each UE interfered with by
     # the weaker UEs that are decoded after it.
@@ -110,8 +121,8 @@ def iterative_power_allocation(cluster_gains, demand: RateDemand,
     rates = np.zeros(n)
     rates[ladder] = cluster_bandwidth * np.log2(
         1.0 + received / (noise + interference))
-    return PowerSolution(power=p, achieved_rate=rates, outage=~served,
-                         iterations=solves)
+    return PowerSolution(power=p, achieved_rate=rates, outage=outage,
+                         iterations=1)
 
 
 def compute_ee(solutions, demand: RateDemand, circuit_power):
@@ -129,5 +140,4 @@ def compute_ee(solutions, demand: RateDemand, circuit_power):
     total_energy = demand.frame_duration * (tx_power + circuit_power * served)
     ee = total_bits / total_energy if served > 0 else 0.0
     return EeBreakdown(total_bits=total_bits, total_energy=total_energy,
-                       ee=ee, circuit_power=circuit_power,
-                       served_count=served, outage_count=outage)
+                       ee=ee, served_count=served, outage_count=outage)

@@ -4,6 +4,8 @@ Plain loops over the SIC recursion, independent of the vectorised ladder
 in ``ambcsim.power``.
 """
 
+import itertools
+
 import numpy as np
 
 
@@ -33,3 +35,28 @@ def closed_form_cluster_powers(gains, gammas, noise):
         p[i] = gam[i] * (noise + interference) / g[i]
         interference += p[i] * g[i]
     return p
+
+
+def max_admission(gains, gamma, noise, p_max):
+    """Brute force over every subset: the largest set of UEs whose SIC
+    powers all fit under p_max.  Among the largest sets, the first one
+    whose membership, read weakest first (sic_order reversed, so equal
+    gains go by descending index), admits a UE the others leave out.
+    Returns (powers, outage)."""
+    g = np.asarray(gains, dtype=float)
+    weakest_first = sic_order(g)[::-1]
+    best = []
+    # (True, ...) comes first, so the first largest set found wins ties.
+    for picks in itertools.product((True, False), repeat=g.size):
+        # Ascending index, so the subset keeps the tie order of gains.
+        members = sorted(i for i, pick in zip(weakest_first, picks) if pick)
+        powers = closed_form_cluster_powers(g[members],
+                                            [gamma] * len(members), noise)
+        if len(members) > len(best) and np.all(powers <= p_max):
+            best, best_powers = members, powers
+    p = np.zeros(g.size)
+    outage = np.ones(g.size, dtype=bool)
+    if best:
+        p[best] = best_powers
+        outage[best] = False
+    return p, outage

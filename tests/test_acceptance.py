@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ambcsim import harness
 from ambcsim.channel import ChannelParams
 from ambcsim.clustering import anova_f_test, kmeans
 from ambcsim.config import SimConfig, dbm_to_watts
@@ -43,17 +44,36 @@ def default_run():
 
 
 @pytest.fixture(scope="module")
-def users_report():
-    cfg = SimConfig(seed=SEED, n_trials=N_TRIALS)
+def sweep_results():
+    """(config, TrialModeResult) of every mode the sweep fixtures run."""
+    return []
+
+
+def recording_sweep(sweep, values, sink):
+    """Run one sweep at the defaults, appending each mode evaluation
+    and the config it ran under to sink."""
+    evaluate_mode = harness.evaluate_mode
+
+    def recorded(config, *args):
+        result = evaluate_mode(config, *args)
+        sink.append((config, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "evaluate_mode", recorded)
+        return sweep(SimConfig(seed=SEED, n_trials=N_TRIALS), values)
+
+
+@pytest.fixture(scope="module")
+def users_report(sweep_results):
     start = time.perf_counter()
-    report = sweep_users(cfg, UE_COUNTS)
+    report = recording_sweep(sweep_users, UE_COUNTS, sweep_results)
     return report, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
-def data_report():
-    cfg = SimConfig(seed=SEED, n_trials=N_TRIALS)
-    return sweep_data(cfg, DATA_SIZES)
+def data_report(sweep_results):
+    return recording_sweep(sweep_data, DATA_SIZES, sweep_results)
 
 
 def mode_series(report, mode):
@@ -269,13 +289,20 @@ class TestCriterion9Determinism:
 
 
 class TestCriterion10FeasibilityInvariants:
-    def test_all_campaigns(self, default_run, users_report, data_report):
-        _, pairs, _ = default_run
-        results = [r for pair in pairs for r in pair]
-        records = users_report[0].records + data_report.records
-        for item in results + records:
-            assert item.max_power <= 0.2 + 1e-15
-            assert item.min_rate_margin >= -1e-6
-            assert item.subcarrier_total == 128
+    def test_all_campaigns(self, default_run, users_report, data_report,
+                           sweep_results):
+        cfg, pairs, _ = default_run
+        results = [(cfg, r) for pair in pairs for r in pair] + sweep_results
+        assert len(results) == 2 * N_TRIALS * (
+            1 + len(UE_COUNTS) + len(DATA_SIZES))
+        for config, result in results:
+            required = RateDemand(config.data_bits,
+                                  config.frame_duration).required_rate
+            for sol in result.solutions:
+                served = ~sol.outage
+                assert np.all(sol.power[served] <= 0.2 + 1e-15)
+                assert np.all(sol.achieved_rate[served] / required - 1.0
+                              >= -1e-6)
+            assert result.plan.subcarriers_per_cluster.sum() == 128
         ok(10, f"power cap, rate satisfaction and subcarrier conservation "
-               f"hold across {len(results) + len(records)} mode-results")
+               f"hold across {len(results)} mode-results")

@@ -198,6 +198,20 @@ class TestRunCli:
                             "single"])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"p_max": true}', "p_max"),
+        ('{"channel": {"reflection_coeff": false}}', "reflection_coeff"),
+        ('{"n_ues": true}', "n_ues"),
+    ], ids=["p_max", "reflection_coeff", "n_ues"])
+    def test_boolean_for_number_exit_2(self, tmp_path, text, key):
+        config = tmp_path / "c.json"
+        config.write_text(text)
+        code, _, err = run(["--out", str(tmp_path / "r"), "--config",
+                            str(config), "single"])
+        assert code == EXIT_CONFIG
+        assert f"invalid value for {key!r}" in err
+        assert not (tmp_path / "r").exists()
+
     def test_non_utf8_config_file_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff\xfe{}")

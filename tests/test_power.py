@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from ambcsim.power import (InfeasibleDemandError, RateDemand, compute_ee,
                            iterative_power_allocation, sinr_gamma)
-from sic_reference import (closed_form_cluster_powers, min_power_single,
-                           sic_order)
+from sic_reference import (closed_form_cluster_powers, max_admission,
+                           min_power_single, sic_order)
 
 
 def random_feasible_cluster(rng, max_size=6):
@@ -134,9 +134,9 @@ class TestIterativePowerAllocation:
 
 
 def reference_admission(gains, gamma, noise, p_max):
-    """Weakest-first SIC recursion over the served UEs; while the largest
-    power exceeds p_max, drop it (the lowest index on ties) and re-solve.
-    Returns (powers, outage)."""
+    """The drop loop, a heuristic comparator: weakest-first SIC recursion
+    over the served UEs; while the largest power exceeds p_max, drop it
+    (the lowest index on ties) and re-solve.  Returns (powers, outage)."""
     served = [True] * len(gains)
     while True:
         p = [0.0] * len(gains)
@@ -167,7 +167,7 @@ class TestAdmissionAgainstReference:
                               min_size=1, max_size=8),
            spectral_eff=st.floats(0.05, 8.0),
            data=st.data())
-    def test_matches_plain_drop_loop(self, exponents, spectral_eff, data):
+    def test_serves_the_most_ues(self, exponents, spectral_eff, data):
         gains = [10.0 ** e for e in exponents]
         demand = RateDemand(spectral_eff * self.BW)
         gamma = sinr_gamma(demand.required_rate, self.BW)
@@ -188,26 +188,49 @@ class TestAdmissionAgainstReference:
 
         sol = iterative_power_allocation(gains, demand, self.BW, self.NOISE,
                                          p_max)
-        power, outage = reference_admission(gains, gamma, self.NOISE, p_max)
+        power, outage = max_admission(gains, gamma, self.NOISE, p_max)
         np.testing.assert_array_equal(sol.outage, outage)
         np.testing.assert_allclose(sol.power, power, rtol=1e-12, atol=0.0)
-        assert sol.iterations == 1 + int(sol.outage.sum())
+        assert np.all(sol.power[~sol.outage] <= p_max)
+        assert sol.iterations == 1
+        _, dropped = reference_admission(gains, gamma, self.NOISE, p_max)
+        assert (~sol.outage).sum() >= (~dropped).sum()
 
     @pytest.mark.parametrize("gains, outage", [
         ([1e-10, 2e-10], [True, False]),
-        ([2e-10, 1e-10], [True, True]),
+        ([2e-10, 1e-10], [False, True]),
     ])
-    def test_power_ties_drop_the_lowest_index(self, gains, outage):
+    def test_power_tie_serves_one_ue(self, gains, outage):
         # gamma = 1 and one gain twice the other: the weaker UE alone at
-        # rank 0 and the stronger at rank 1 need the same power N / g_weak.
-        # Under p_max = 0.75 N / g_weak, index 0 is dropped first; only the
-        # stronger UE fits alone (N / (2 g_weak)).
+        # rank 0 and the stronger at rank 1 need the same power N / g_weak,
+        # over p_max = 0.75 N / g_weak.  The weaker UE fits at no rank;
+        # the stronger fits alone (N / (2 g_weak)).  In the second case
+        # reference_admission drops index 0 on the tie and serves no UE.
         demand = RateDemand(self.BW)
         p_max = 0.75 * self.NOISE / 1e-10
         sol = iterative_power_allocation(gains, demand, self.BW,
                                          self.NOISE, p_max)
         assert sol.outage.tolist() == outage
-        assert sol.iterations == 1 + sum(outage)
+        assert sol.iterations == 1
+
+    @pytest.mark.parametrize("gains, p_max_in_n_over_g, outage", [
+        # Either UE fits alone (N / g_weak, 0.67 N / g_weak) but the
+        # stronger one above the weaker needs 1.33 N / g_weak.
+        ([1.5e-10, 1e-10], 1.2, [True, False]),
+        # Equal gains need N / g, 2 N / g and 4 N / g at ranks 0, 1, 2.
+        ([1e-10] * 3, 3.0, [True, False, False]),
+    ])
+    def test_ties_among_largest_sets_go_to_the_weaker_ue(
+            self, gains, p_max_in_n_over_g, outage):
+        # gamma = 1; the weaker UE, and among equal gains the higher index.
+        demand = RateDemand(self.BW)
+        p_max = p_max_in_n_over_g * self.NOISE / 1e-10
+        sol = iterative_power_allocation(gains, demand, self.BW,
+                                         self.NOISE, p_max)
+        assert sol.outage.tolist() == outage
+        power, oracle_outage = max_admission(gains, 1.0, self.NOISE, p_max)
+        assert oracle_outage.tolist() == outage
+        np.testing.assert_allclose(sol.power, power, rtol=1e-12, atol=0.0)
 
     def test_overflowing_power_is_dropped_silently(self):
         demand = RateDemand(59.0 * self.BW)  # gamma = 2^59 - 1
@@ -218,7 +241,7 @@ class TestAdmissionAgainstReference:
                                              self.NOISE, 0.2)
         assert sol.outage.all()
         assert np.all(sol.power == 0.0)
-        assert sol.iterations == 41
+        assert sol.iterations == 1
 
 
 class TestComputeEe:
