@@ -7,8 +7,7 @@ from .clustering import (ClusterPlan, allocate_subcarriers, anova_f_test,
                          elbow_select_k, group_users, kmeans)
 from .config import ConfigError, SimConfig, dbm_to_watts
 from .harness import (Deployment, EeReport, derive_trial_seed, run_trial,
-                      sample_deployment, sweep_data, sweep_users,
-                      write_results)
+                      sample_deployment, sweep, write_results)
 from .power import (EeBreakdown, InfeasibleDemandError, PowerSolution,
                     RateDemand, compute_ee, iterative_power_allocation,
                     sinr_gamma)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .channel import ChannelParams
 from .config import ConfigError, SimConfig
-from .harness import sweep_data, sweep_users, write_results
+from .harness import MODE_BASELINE, MODE_TRIAD, sweep, write_results
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -31,13 +31,6 @@ _INT_FIELDS = {f.name for f in dataclasses.fields(SimConfig) if f.type is int}
 _BOOL_FIELDS = {f.name for f in dataclasses.fields(SimConfig)
                 if f.type is bool}
 _CHANNEL_FIELDS = {f.name for f in dataclasses.fields(ChannelParams)}
-
-DEFAULT_UE_COUNTS = list(range(10, 101, 10))
-DEFAULT_DATA_SIZES = [s * 1000.0 for s in range(20, 101, 10)]
-# The key each sweep sets per point.  A --set of it would be recorded in
-# the snapshot yet never take effect, so it is refused.  A config file
-# may hold it: every snapshot does, and must re-run.
-_SWEPT_KEY = {"sweep-users": "n_ues", "sweep-data": "data_bits"}
 
 
 def _coerce(key, raw):
@@ -155,13 +148,13 @@ def _print_summary(report, out):
     gains = []
     for value in sorted(by_value):
         modes = by_value[value]
-        for mode in ("baseline", "triad"):
+        for mode in (MODE_BASELINE, MODE_TRIAD):
             agg = modes[mode]
             lines.append(f"{value:>12g} {mode:>9} {agg.mean_ee:>15.6g} "
                          f"{agg.ci95_half:>12.4g}")
-        base = modes["baseline"].mean_ee
+        base = modes[MODE_BASELINE].mean_ee
         if base > 0:
-            gains.append(100.0 * (modes["triad"].mean_ee - base) / base)
+            gains.append(100.0 * (modes[MODE_TRIAD].mean_ee - base) / base)
     if gains:
         lines.append(f"mean triad-vs-baseline improvement: "
                      f"{sum(gains) / len(gains):.2f}%")
@@ -174,12 +167,22 @@ def run_cli(args, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
-        swept = _SWEPT_KEY.get(args.subcommand)
-        if swept in _parse_overrides(args.overrides):
-            raise ConfigError(f"{swept!r} is swept by {args.subcommand}; "
-                              f"--set {swept} would have no effect")
         cfg = build_effective_config(args.config, args.overrides, args.seed,
                                      args.trials)
+        # subcommand -> (the SimConfig key it sweeps, the values)
+        key, values = {
+            "single": ("n_ues", [cfg.n_ues]),
+            "sweep-users": ("n_ues", list(range(10, 101, 10))),
+            "sweep-data": ("data_bits",
+                           [s * 1000.0 for s in range(20, 101, 10)]),
+        }[args.subcommand]
+        # A --set of a key swept over other values would be recorded in
+        # the snapshot yet never take effect, so it is refused.  A config
+        # file may hold it: every snapshot does, and must re-run.
+        if (key in _parse_overrides(args.overrides)
+                and values != [getattr(cfg, key)]):
+            raise ConfigError(f"{key!r} is swept by {args.subcommand}; "
+                              f"--set {key} would have no effect")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=err)
         return EXIT_CONFIG
@@ -197,12 +200,7 @@ def run_cli(args, out=None, err=None) -> int:
         return EXIT_IO
 
     try:
-        if args.subcommand == "single":
-            report = sweep_users(cfg, [cfg.n_ues])
-        elif args.subcommand == "sweep-users":
-            report = sweep_users(cfg, DEFAULT_UE_COUNTS)
-        else:
-            report = sweep_data(cfg, DEFAULT_DATA_SIZES)
+        report = sweep(cfg, key, values)
     except (ValueError, ArithmeticError) as exc:
         print(f"simulation error: {exc}", file=err)
         return EXIT_SIM

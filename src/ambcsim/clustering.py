@@ -21,7 +21,6 @@ class ClusterPlan:
 
     k: int
     assignment: np.ndarray            # per-UE cluster index in [0, k)
-    centroids: np.ndarray             # dB
     wcss_curve: list                  # optimal WCSS for k = 1, 2, ...
     f_statistic: float                # nan when k = 1
     subcarriers_per_cluster: np.ndarray
@@ -65,19 +64,16 @@ def _optimal_splits(features, k_max):
     return order, wcss, splits
 
 
-def _trace_back(features, order, splits, k):
-    """Assignment and centroids of the optimal k-partition; cluster labels
-    ascend with the feature."""
-    x = np.asarray(features, dtype=float).ravel()
-    assign = np.empty(x.size, dtype=int)
-    end = x.size
+def _trace_back(order, splits, k):
+    """Assignment of the optimal k-partition; cluster labels ascend with
+    the feature."""
+    assign = np.empty(order.size, dtype=int)
+    end = order.size
     for c in range(k - 1, -1, -1):
         start = int(splits[c][end])
         assign[order[start:end]] = c
         end = start
-    centroids = (np.bincount(assign, weights=x, minlength=k)
-                 / np.bincount(assign, minlength=k))
-    return assign, centroids
+    return assign
 
 
 def kmeans(features, k):
@@ -86,13 +82,15 @@ def kmeans(features, k):
     Deterministic: identical inputs give the same partition, labelled in
     ascending order of the feature.  Returns (assignment, centroids, wcss).
     """
-    n = np.asarray(features).size
-    if n == 0:
+    x = np.asarray(features, dtype=float).ravel()
+    if x.size == 0:
         raise ValueError("empty feature vector")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    order, wcss, splits = _optimal_splits(features, k)
-    assign, centroids = _trace_back(features, order, splits, k)
+    if not 1 <= k <= x.size:
+        raise ValueError(f"k must be in [1, {x.size}], got {k}")
+    order, wcss, splits = _optimal_splits(x, k)
+    assign = _trace_back(order, splits, k)
+    centroids = (np.bincount(assign, weights=x, minlength=k)
+                 / np.bincount(assign, minlength=k))
     return assign, centroids, wcss[k - 1]
 
 
@@ -171,12 +169,11 @@ def group_users(channel: ChannelState, n_subcarriers, k_max=10):
 
     order, wcss_curve, splits = _optimal_splits(features, k_hi)
     k = elbow_select_k(wcss_curve)
-    assign, centroids = _trace_back(features, order, splits, k)
+    assign = _trace_back(order, splits, k)
 
     # undefined for a single cluster
     f_stat = anova_f_test(features, assign) if k >= 2 else math.nan
 
     sizes = np.bincount(assign, minlength=k)
     subcarriers = allocate_subcarriers(sizes, n_subcarriers)
-    return ClusterPlan(k, assign, centroids, wcss_curve, f_stat,
-                       subcarriers)
+    return ClusterPlan(k, assign, wcss_curve, f_stat, subcarriers)

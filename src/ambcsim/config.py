@@ -1,8 +1,11 @@
 """Scenario configuration with case-study defaults."""
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 
-from .channel import ChannelParams
+import numpy as np
+
+from .channel import ChannelParams, a2g_path_loss
 
 UE_HEIGHT = 1.5   # m, handset
 TAG_HEIGHT = 1.0  # m
@@ -39,11 +42,7 @@ class SimConfig:
         self.validate()
 
     def validate(self):
-        import math
-
-        reals = ["coverage_radius", "bandwidth", "p_max", "uav_altitude",
-                 "circuit_power", "data_bits", "frame_duration"]
-        for key in reals:
+        for key in (f.name for f in fields(self) if f.type is float):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite")
         positive = ["coverage_radius", "bandwidth", "p_max", "data_bits",
@@ -54,6 +53,23 @@ class SimConfig:
         if not self.uav_altitude > max(UE_HEIGHT, TAG_HEIGHT):
             raise ConfigError(f"uav_altitude must be above the UE and tag "
                               f"heights ({UE_HEIGHT} m, {TAG_HEIGHT} m)")
+        # Worst direct loss of any UE: the farthest one is at the cell edge,
+        # and P_LoS is monotone in the elevation, which lies between the
+        # edge's and 90 deg, so the larger loss of those two angles bounds
+        # every UE's.  Where its gain underflows, a UE's gain may be 0.
+        # An FSPL that overflows is an infinite loss.
+        height = self.uav_altitude - UE_HEIGHT
+        edge = math.hypot(self.coverage_radius, height)
+        with np.errstate(over="ignore"):
+            loss = float(a2g_path_loss(
+                np.array([edge, edge]),
+                np.array([math.atan2(height, self.coverage_radius),
+                          math.pi / 2.0]), self.channel).max())
+        if loss > 0.0 and 10.0 ** (-loss / 10.0) == 0.0:
+            raise ConfigError(f"coverage_radius, uav_altitude and "
+                              f"channel.carrier_freq give a cell-edge path "
+                              f"loss of {loss:.6g} dB, whose linear gain "
+                              f"underflows to 0")
         for key in (f.name for f in fields(self) if f.type is int):
             value = getattr(self, key)
             if isinstance(value, bool) or not hasattr(value, "__index__"):

@@ -3,8 +3,9 @@
 Each trial samples one random deployment and evaluates it twice on the
 same positions: once with backscatter tags active ("triad") and once
 with them ignored ("baseline"), so the two modes differ only in the
-backscatter term (common-random-numbers pairing).  Sweeps vary the UE
-count or the per-UE payload and aggregate energy efficiency per mode.
+backscatter term (common-random-numbers pairing).  A sweep varies one
+configuration field, such as the UE count or the per-UE payload, and
+aggregates energy efficiency per mode.
 """
 
 import csv
@@ -78,7 +79,6 @@ class Aggregate:
 
 @dataclass
 class EeReport:
-    sweep: str  # "users" or "data"
     records: List[TrialRecord]
     aggregates: List[Aggregate]
 
@@ -169,40 +169,27 @@ def _aggregate(records):
     return out
 
 
-def _sweep(config: SimConfig, name, values, make_cfg) -> EeReport:
+def sweep(config: SimConfig, key, values) -> EeReport:
+    """EE versus one SimConfig field: each trial of each value runs under
+    replace(config, **{key: value}), which validates the value by key."""
+    if not values:
+        raise ValueError("a sweep needs at least one value")
     records = []
     for si, value in enumerate(values):
-        cfg = make_cfg(config, value)
+        cfg = replace(config, **{key: value})
         for t in range(config.n_trials):
             ts = derive_trial_seed(config.seed, si, t)
             try:
                 triad, baseline = run_trial(cfg, ts)
             except (ValueError, ArithmeticError) as exc:
-                raise type(exc)(f"{exc} (at {name} sweep value {value:g}, "
+                raise type(exc)(f"{exc} (at {key} sweep value {value:g}, "
                                 f"trial {t}, trial seed {ts})") from exc
             for r in (triad, baseline):
                 records.append(TrialRecord(
                     sweep_value=value, trial=t, trial_seed=ts, mode=r.mode,
                     ee=r.ee, served=r.served, outage=r.outage, k=r.k,
                     f_statistic=r.f_statistic))
-    return EeReport(sweep=name, records=records,
-                    aggregates=_aggregate(records))
-
-
-def sweep_users(config: SimConfig, ue_counts) -> EeReport:
-    """EE versus UE count at fixed payload."""
-    if not ue_counts or any(c < 1 for c in ue_counts):
-        raise ValueError("ue_counts must be non-empty with entries >= 1")
-    return _sweep(config, "users", list(ue_counts),
-                  lambda cfg, v: replace(cfg, n_ues=int(v)))
-
-
-def sweep_data(config: SimConfig, data_sizes) -> EeReport:
-    """EE versus per-UE payload at fixed UE count."""
-    if not data_sizes or any(d <= 0 for d in data_sizes):
-        raise ValueError("data_sizes must be non-empty with entries > 0")
-    return _sweep(config, "data", list(data_sizes),
-                  lambda cfg, v: replace(cfg, data_bits=float(v)))
+    return EeReport(records=records, aggregates=_aggregate(records))
 
 
 def _fmt(value):

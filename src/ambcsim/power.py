@@ -45,7 +45,6 @@ class PowerSolution:
     """Per-cluster allocation outcome (arrays indexed like the input)."""
 
     power: np.ndarray          # watts, 0 for outage UEs
-    achieved_rate: np.ndarray  # bits/s, 0 for outage UEs
     outage: np.ndarray         # bool
     # Always 1: the scan solves the ladder once.  Kept because the
     # benchmark's power.fixed_point_sweeps_per_trial metric reads it.
@@ -113,16 +112,7 @@ def iterative_power_allocation(cluster_gains, demand: RateDemand,
     p[ladder] = rungs[:ladder.size] / gains[ladder]
     outage = np.ones(n, dtype=bool)
     outage[ladder] = False
-
-    # Achieved rates from the returned powers, each UE interfered with by
-    # the weaker UEs that are decoded after it.
-    received = p[ladder] * gains[ladder]
-    interference = np.concatenate(([0.0], np.cumsum(received)[:-1]))
-    rates = np.zeros(n)
-    rates[ladder] = cluster_bandwidth * np.log2(
-        1.0 + received / (noise + interference))
-    return PowerSolution(power=p, achieved_rate=rates, outage=outage,
-                         iterations=1)
+    return PowerSolution(power=p, outage=outage, iterations=1)
 
 
 def compute_ee(solutions, demand: RateDemand, circuit_power):

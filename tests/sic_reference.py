@@ -5,6 +5,7 @@ in ``ambcsim.power``.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -35,6 +36,22 @@ def closed_form_cluster_powers(gains, gammas, noise):
         p[i] = gam[i] * (noise + interference) / g[i]
         interference += p[i] * g[i]
     return p
+
+
+def achieved_rates(powers, gains, bandwidth, noise):
+    """Shannon rate of every UE under SIC, in bits/s: each UE sees the
+    weaker UEs, decoded after it, as interference.  A UE with zero power
+    has rate 0."""
+    p = np.asarray(powers, dtype=float)
+    g = np.asarray(gains, dtype=float)
+    rates = np.zeros(g.size)
+    interference = 0.0
+    for i in reversed(sic_order(g)):  # weakest first
+        received = p[i] * g[i]
+        rates[i] = bandwidth * math.log2(1.0 + received
+                                         / (noise + interference))
+        interference += received
+    return rates
 
 
 def max_admission(gains, gamma, noise, p_max):

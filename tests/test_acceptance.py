@@ -5,6 +5,7 @@ module-scoped fixtures keep the three expensive simulation campaigns
 (default paired trials, UE-count sweep, payload sweep) to one run each.
 """
 
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -15,13 +16,13 @@ import pytest
 from scipy import stats
 
 from ambcsim import harness
-from ambcsim.channel import ChannelParams
+from ambcsim.channel import ChannelParams, noise_power
 from ambcsim.clustering import anova_f_test, kmeans
 from ambcsim.config import SimConfig, dbm_to_watts
-from ambcsim.harness import (derive_trial_seed, run_trial, sweep_users,
-                             sweep_data, write_results)
+from ambcsim.harness import derive_trial_seed, run_trial, sweep, write_results
 from ambcsim.power import RateDemand, iterative_power_allocation, sinr_gamma
-from sic_reference import closed_form_cluster_powers, sic_order
+from sic_reference import (achieved_rates, closed_form_cluster_powers,
+                           sic_order)
 
 SEED = 42
 N_TRIALS = 100
@@ -34,46 +35,60 @@ def ok(n, msg):
 
 
 @pytest.fixture(scope="module")
-def default_run():
+def mode_results():
+    """(config, effective gains, TrialModeResult) of every mode
+    evaluation the campaign fixtures run."""
+    return []
+
+
+@contextlib.contextmanager
+def recording(sink):
+    """Append each mode evaluation run inside the block to sink, with
+    the config it ran under and the effective gains it grouped."""
+    effective_gains = harness.effective_gains
+    evaluate_mode = harness.evaluate_mode
+    last = {}
+
+    def gains(*args):
+        last["state"] = effective_gains(*args)
+        return last["state"]
+
+    def recorded(config, *args):
+        result = evaluate_mode(config, *args)
+        sink.append((config, last["state"].effective_gain, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "effective_gains", gains)
+        mp.setattr(harness, "evaluate_mode", recorded)
+        yield
+
+
+@pytest.fixture(scope="module")
+def default_run(mode_results):
     """100 paired trials at the case-study defaults."""
     cfg = SimConfig(seed=SEED, n_trials=N_TRIALS)
     start = time.perf_counter()
-    pairs = [run_trial(cfg, derive_trial_seed(SEED, 0, t))
-             for t in range(N_TRIALS)]
+    with recording(mode_results):
+        pairs = [run_trial(cfg, derive_trial_seed(SEED, 0, t))
+                 for t in range(N_TRIALS)]
     return cfg, pairs, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
-def sweep_results():
-    """(config, TrialModeResult) of every mode the sweep fixtures run."""
-    return []
-
-
-def recording_sweep(sweep, values, sink):
-    """Run one sweep at the defaults, appending each mode evaluation
-    and the config it ran under to sink."""
-    evaluate_mode = harness.evaluate_mode
-
-    def recorded(config, *args):
-        result = evaluate_mode(config, *args)
-        sink.append((config, result))
-        return result
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "evaluate_mode", recorded)
-        return sweep(SimConfig(seed=SEED, n_trials=N_TRIALS), values)
-
-
-@pytest.fixture(scope="module")
-def users_report(sweep_results):
+def users_report(mode_results):
     start = time.perf_counter()
-    report = recording_sweep(sweep_users, UE_COUNTS, sweep_results)
+    with recording(mode_results):
+        report = sweep(SimConfig(seed=SEED, n_trials=N_TRIALS), "n_ues",
+                       UE_COUNTS)
     return report, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
-def data_report(sweep_results):
-    return recording_sweep(sweep_data, DATA_SIZES, sweep_results)
+def data_report(mode_results):
+    with recording(mode_results):
+        return sweep(SimConfig(seed=SEED, n_trials=N_TRIALS), "data_bits",
+                     DATA_SIZES)
 
 
 def mode_series(report, mode):
@@ -233,7 +248,7 @@ class TestCriterion6KmeansLocalOptimality:
 
 class TestCriterion7DegenerateCollapse:
     def _assert_modes_identical(self, cfg, tmp_path, label):
-        report = sweep_users(cfg, [cfg.n_ues])
+        report = sweep(cfg, "n_ues", [cfg.n_ues])
         trials_path, _ = write_results(report, tmp_path / label)
         rows = trials_path.read_text(encoding="utf-8").splitlines()[1:]
         split = {"triad": [], "baseline": []}
@@ -281,8 +296,8 @@ class TestCriterion8CircuitPowerDominance:
 class TestCriterion9Determinism:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = SimConfig(seed=SEED, n_trials=N_TRIALS)
-        p1 = write_results(sweep_users(cfg, [cfg.n_ues]), tmp_path / "a")
-        p2 = write_results(sweep_users(cfg, [cfg.n_ues]), tmp_path / "b")
+        p1 = write_results(sweep(cfg, "n_ues", [cfg.n_ues]), tmp_path / "a")
+        p2 = write_results(sweep(cfg, "n_ues", [cfg.n_ues]), tmp_path / "b")
         for f1, f2 in zip(p1, p2):
             assert f1.read_bytes() == f2.read_bytes()
         ok(9, "two identical-seed campaigns produced byte-identical CSVs")
@@ -290,19 +305,22 @@ class TestCriterion9Determinism:
 
 class TestCriterion10FeasibilityInvariants:
     def test_all_campaigns(self, default_run, users_report, data_report,
-                           sweep_results):
-        cfg, pairs, _ = default_run
-        results = [(cfg, r) for pair in pairs for r in pair] + sweep_results
-        assert len(results) == 2 * N_TRIALS * (
+                           mode_results):
+        assert len(mode_results) == 2 * N_TRIALS * (
             1 + len(UE_COUNTS) + len(DATA_SIZES))
-        for config, result in results:
+        for config, gains, result in mode_results:
             required = RateDemand(config.data_bits,
                                   config.frame_duration).required_rate
-            for sol in result.solutions:
+            plan = result.plan
+            for c, sol in enumerate(result.solutions):
+                bw = float(plan.subcarriers_per_cluster[c]) * (
+                    config.bandwidth / config.n_subcarriers)
+                rates = achieved_rates(
+                    sol.power, gains[plan.assignment == c], bw,
+                    noise_power(bw, config.channel.noise_psd))
                 served = ~sol.outage
                 assert np.all(sol.power[served] <= 0.2 + 1e-15)
-                assert np.all(sol.achieved_rate[served] / required - 1.0
-                              >= -1e-6)
-            assert result.plan.subcarriers_per_cluster.sum() == 128
+                assert np.all(rates[served] / required - 1.0 >= -1e-6)
+            assert plan.subcarriers_per_cluster.sum() == 128
         ok(10, f"power cap, rate satisfaction and subcarrier conservation "
-               f"hold across {len(results)} mode-results")
+               f"hold across {len(mode_results)} mode-results")

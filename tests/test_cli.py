@@ -168,6 +168,10 @@ class TestRunCli:
         ("uav_altitude=1.0", "uav_altitude"),
         ("uav_altitude=1.5", "uav_altitude"),
         ("channel.plos_a=-0.01", "plos_a"),
+        # direct gains that underflow to 0
+        ("coverage_radius=1e200", "coverage_radius"),
+        ("uav_altitude=1e300", "uav_altitude"),
+        ("channel.carrier_freq=1e300", "channel.carrier_freq"),
     ])
     def test_non_finite_or_impossible_value_exit_2(self, tmp_path, setting,
                                                    key):
@@ -175,6 +179,16 @@ class TestRunCli:
                             "single"])
         assert code == EXIT_CONFIG
         assert key in err
+
+    def test_tiny_gains_run_in_outage(self, tmp_path):
+        # direct gains of about 1e-306: tiny, but not 0, so not refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(["--out", str(tmp_path), *FAST, "--set",
+                                "coverage_radius=1e150", "single"])
+        assert code == EXIT_OK, err
+        rows = (tmp_path / "trials.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[4:6] for row in rows] == [["0", "8"]] * 2
 
     def test_zero_plos_a_runs(self, tmp_path):
         # P_LoS = 1 at every elevation; 0 * exp(overflow) once made it NaN

@@ -7,8 +7,7 @@ import pytest
 from ambcsim.channel import ChannelParams
 from ambcsim.config import ConfigError, SimConfig
 from ambcsim.harness import (EeReport, derive_trial_seed, run_trial,
-                             sample_deployment, sweep_data, sweep_users,
-                             write_results)
+                             sample_deployment, sweep, write_results)
 from ambcsim.power import InfeasibleDemandError
 
 
@@ -111,14 +110,14 @@ class TestRunTrial:
 class TestSweeps:
     def test_single_point_paired_records(self):
         cfg = small_config(n_trials=1, n_ues=70)
-        rep = sweep_users(cfg, [70])
+        rep = sweep(cfg, "n_ues", [70])
         assert len(rep.records) == 2
         assert {r.mode for r in rep.records} == {"triad", "baseline"}
 
     def test_cross_sweep_consistency(self):
         cfg = small_config(n_trials=3, n_ues=70)
-        users = sweep_users(cfg, [70])
-        data = sweep_data(cfg, [60_000.0])
+        users = sweep(cfg, "n_ues", [70])
+        data = sweep(cfg, "data_bits", [60_000.0])
         key = lambda r: (r.trial, r.mode)
         for ru, rd in zip(sorted(users.records, key=key),
                           sorted(data.records, key=key)):
@@ -129,20 +128,20 @@ class TestSweeps:
 
     def test_more_users_less_efficiency(self):
         cfg = SimConfig(seed=9, n_trials=50)
-        rep = sweep_users(cfg, [10, 100])
+        rep = sweep(cfg, "n_ues", [10, 100])
         agg = {(a.sweep_value, a.mode): a.mean_ee for a in rep.aggregates}
         assert agg[(10, "triad")] > agg[(100, "triad")]
 
     def test_more_data_less_efficiency(self):
         cfg = SimConfig(seed=9, n_trials=50)
-        rep = sweep_data(cfg, [30_000.0, 120_000.0])
+        rep = sweep(cfg, "data_bits", [30_000.0, 120_000.0])
         agg = {(a.sweep_value, a.mode): a.mean_ee for a in rep.aggregates}
         assert agg[(30_000.0, "triad")] > agg[(120_000.0, "triad")]
         assert agg[(30_000.0, "baseline")] > agg[(120_000.0, "baseline")]
 
     def test_positive_gap_at_every_size(self):
         cfg = small_config(n_trials=10, n_ues=30)
-        rep = sweep_data(cfg, [30_000.0, 60_000.0, 120_000.0])
+        rep = sweep(cfg, "data_bits", [30_000.0, 60_000.0, 120_000.0])
         agg = {(a.sweep_value, a.mode): a.mean_ee for a in rep.aggregates}
         for size in (30_000.0, 60_000.0, 120_000.0):
             assert agg[(size, "triad")] > agg[(size, "baseline")]
@@ -151,7 +150,7 @@ class TestSweeps:
         cfg = small_config(n_trials=2)
         seed = derive_trial_seed(cfg.seed, 0, 0)
         with pytest.raises(InfeasibleDemandError) as info:
-            sweep_data(cfg, [1e9])
+            sweep(cfg, "data_bits", [1e9])
         message = str(info.value)
         assert "exceeds the supported range" in message
         assert "1e+09" in message
@@ -160,13 +159,13 @@ class TestSweeps:
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
-            sweep_users(small_config(), [])
+            sweep(small_config(), "n_ues", [])
         with pytest.raises(ValueError):
-            sweep_data(small_config(), [])
+            sweep(small_config(), "data_bits", [])
 
     def test_aggregates_recomputable(self):
         cfg = small_config(n_trials=8)
-        rep = sweep_users(cfg, [5, 12])
+        rep = sweep(cfg, "n_ues", [5, 12])
         for agg in rep.aggregates:
             ees = [r.ee for r in rep.records
                    if r.sweep_value == agg.sweep_value
@@ -177,7 +176,7 @@ class TestSweeps:
 
 class TestWriteResults:
     def test_empty_report_headers_only(self, tmp_path):
-        trials, aggs = write_results(EeReport("users", [], []), tmp_path)
+        trials, aggs = write_results(EeReport([], []), tmp_path)
         assert trials.read_text().splitlines() == [
             "sweep_value,trial,mode,ee_bits_per_joule,served,outage,k,"
             "f_statistic"]
@@ -186,7 +185,7 @@ class TestWriteResults:
 
     def test_one_trial_two_rows(self, tmp_path):
         cfg = small_config(n_trials=1)
-        rep = sweep_users(cfg, [cfg.n_ues])
+        rep = sweep(cfg, "n_ues", [cfg.n_ues])
         trials, _ = write_results(rep, tmp_path)
         lines = trials.read_text().splitlines()
         assert len(lines) == 3  # header + baseline + triad
@@ -197,8 +196,8 @@ class TestWriteResults:
         cfg = small_config(n_trials=4)
         p1 = tmp_path / "a"
         p2 = tmp_path / "b"
-        write_results(sweep_users(cfg, [8, 12]), p1)
-        write_results(sweep_users(cfg, [8, 12]), p2)
+        write_results(sweep(cfg, "n_ues", [8, 12]), p1)
+        write_results(sweep(cfg, "n_ues", [8, 12]), p2)
         assert (p1 / "trials.csv").read_bytes() == \
             (p2 / "trials.csv").read_bytes()
         assert (p1 / "aggregates.csv").read_bytes() == \
@@ -208,7 +207,7 @@ class TestWriteResults:
         blocker = tmp_path / "file"
         blocker.write_text("x")
         with pytest.raises(OSError):
-            write_results(EeReport("users", [], []), blocker / "sub")
+            write_results(EeReport([], []), blocker / "sub")
 
 
 def test_config_defaults_match_case_study():
@@ -230,7 +229,11 @@ class TestValidationOnEveryPath:
 
     def test_sweep_config_with_nan_rejected(self):
         with pytest.raises(ConfigError, match="circuit_power"):
-            sweep_users(SimConfig(circuit_power=float("nan")), [10])
+            sweep(SimConfig(circuit_power=float("nan")), "n_ues", [10])
+
+    def test_sweep_value_of_the_wrong_type_rejected(self):
+        with pytest.raises(ConfigError, match="n_ues"):
+            sweep(small_config(), "n_ues", [10.5])
 
     def test_replace_revalidates(self):
         with pytest.raises(ConfigError, match="n_ues"):
