@@ -7,6 +7,7 @@ of k on that WCSS curve; one-way ANOVA F-test of the chosen partition
 clusters.  Cluster labels ascend with the gain.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,20 @@ class ClusterPlan:
     subcarriers_per_cluster: np.ndarray
 
 
+@functools.lru_cache(maxsize=1)
+def _grid(n):
+    """Read-only constants of the DP on n points: the row index 0..n, the
+    divisor max(j - i, 1) and the mask of empty runs j <= i, each (j, i).
+    One entry suffices: every trial of a sweep point has the same n."""
+    ends = np.arange(n + 1)
+    length = np.subtract.outer(ends, ends)
+    divisor = np.maximum(length, 1).astype(float)
+    empty = length <= 0
+    for a in (ends, divisor, empty):
+        a.flags.writeable = False
+    return ends, divisor, empty
+
+
 def _optimal_splits(features, k_max):
     """Exact 1-D k-means for every k = 1..k_max in one dynamic program.
 
@@ -35,7 +50,8 @@ def _optimal_splits(features, k_max):
     R Journal 2011).  Returns (order, wcss, splits): the stable sort order
     of the features, the optimal WCSS for each k, and for each k the
     argmin table from which the partition is traced back; ties break
-    toward the earliest split.
+    toward the earliest split.  The table of k = k_max holds only its
+    entry n, the one a trace-back reads.
     """
     x = np.asarray(features, dtype=float).ravel()
     n = x.size
@@ -45,22 +61,34 @@ def _optimal_splits(features, k_max):
     xs = x[order] - x.mean()  # centred, so prefix sums do not cancel badly
     s1 = np.concatenate(([0.0], np.cumsum(xs)))
     s2 = np.concatenate(([0.0], np.cumsum(xs * xs)))
-    ends = np.arange(n + 1)
-    length = ends[:, None] - ends[None, :]  # cost[j, i] is that of x[i:j]
-    cost = (s2[:, None] - s2[None, :]
-            - (s1[:, None] - s1[None, :]) ** 2 / np.maximum(length, 1))
-    cost = np.where(length > 0, np.maximum(cost, 0.0), np.inf)
+    ends, divisor, empty = _grid(n)
+    # cost[j, i] is that of x[i:j], built in place; layer is its scratch
+    cost = np.subtract.outer(s2, s2)
+    layer = np.subtract.outer(s1, s1)
+    np.square(layer, out=layer)
+    layer /= divisor
+    cost -= layer
+    np.maximum(cost, 0.0, out=cost)
+    np.copyto(cost, np.inf, where=empty)
 
-    best = np.full(n + 1, np.inf)  # D_0: only the empty prefix is free
-    best[0] = 0.0
-    total = np.empty_like(cost)
-    wcss, splits = [], []
-    for _ in range(k_max):
-        np.add(cost, best, out=total)
-        split = total.argmin(axis=1)
-        best = total[ends, split]
+    # D_1 = min_i cost[:, i] + D_0[i], and only D_0[0] = 0.0 is finite:
+    # every split is 0
+    best = cost[:, 0] + 0.0
+    splits = [np.zeros(n + 1, dtype=np.intp)]
+    wcss = [float(best[n])]
+    for _ in range(k_max - 2):
+        np.add(cost, best, out=layer)
+        split = layer.argmin(axis=1)
+        best = layer[ends, split]
         splits.append(split)
         wcss.append(float(best[n]))
+    if k_max > 1:
+        # the last layer: only row n is read
+        row = cost[n] + best
+        split = np.zeros(n + 1, dtype=np.intp)
+        split[n] = row.argmin()
+        splits.append(split)
+        wcss.append(float(row[split[n]]))
     return order, wcss, splits
 
 
@@ -98,17 +126,29 @@ def elbow_select_k(wcss_curve):
     """Cluster count at the maximum second difference of the WCSS curve.
 
     Returns 1 when fewer than 3 candidates exist or the curve is flat;
-    ties break toward the smaller k.
+    ties break toward the smaller k.  Works on Python floats: the curve
+    is at most k_max long, far too short for numpy to pay off.
     """
-    curve = np.asarray(wcss_curve, dtype=float)
-    if curve.size == 0:
+    curve = [float(w) for w in wcss_curve]
+    if not curve:
         raise ValueError("empty WCSS curve")
-    if curve.size < 3:
+    if len(curve) < 3:
         return 1
-    if np.max(np.abs(np.diff(curve))) <= 1e-12 * curve[0]:
+    flat = 1e-12 * curve[0]
+    if all(abs(b - a) <= flat for a, b in zip(curve, curve[1:])):
         return 1
-    second = curve[:-2] - 2.0 * curve[1:-1] + curve[2:]  # k = 2..k_max-1
-    return int(np.argmax(second)) + 2
+    # k = 2..k_max-1
+    second = [a - 2.0 * b + c
+              for a, b, c in zip(curve, curve[1:], curve[2:])]
+    # the first maximum, or the first NaN (inf - inf, from a curve that
+    # runs past k = n), as np.argmax takes it
+    top = 0
+    for i, v in enumerate(second):
+        if v != v:
+            return i + 2
+        if v > second[top]:
+            top = i
+    return top + 2
 
 
 def anova_f_test(features, assignment):

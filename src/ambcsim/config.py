@@ -1,7 +1,8 @@
 """Scenario configuration with case-study defaults."""
 
+import functools
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -17,6 +18,22 @@ class ConfigError(ValueError):
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
+
+
+@functools.lru_cache(maxsize=8)
+def _peak_gains(params: ChannelParams, uav_altitude: float):
+    """Upper bounds on the direct gain and on the two hop gains of a tag.
+
+    No UE is nearer the UAV than uav_altitude - UE_HEIGHT, no tag nearer
+    a UE than UE_HEIGHT - TAG_HEIGHT or the UAV than
+    uav_altitude - TAG_HEIGHT, and no excess loss is below eta_los, the
+    loss at P_LoS = 1 (plos_a = 0).  A bound that overflows is inf.
+    """
+    nearest = np.array([uav_altitude - UE_HEIGHT, UE_HEIGHT - TAG_HEIGHT,
+                        uav_altitude - TAG_HEIGHT])
+    with np.errstate(over="ignore", divide="ignore"):
+        loss = a2g_path_loss(nearest, np.zeros(3), replace(params, plos_a=0.0))
+        return tuple((10.0 ** (-loss / 10.0)).tolist())
 
 
 @dataclass
@@ -57,10 +74,11 @@ class SimConfig:
         # and P_LoS is monotone in the elevation, which lies between the
         # edge's and 90 deg, so the larger loss of those two angles bounds
         # every UE's.  Where its gain underflows, a UE's gain may be 0.
-        # An FSPL that overflows is an infinite loss.
+        # An FSPL that overflows is an infinite loss; one whose log10
+        # argument underflows is -inf, an infinite gain, refused below.
         height = self.uav_altitude - UE_HEIGHT
         edge = math.hypot(self.coverage_radius, height)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):
             loss = float(a2g_path_loss(
                 np.array([edge, edge]),
                 np.array([math.atan2(height, self.coverage_radius),
@@ -79,6 +97,15 @@ class SimConfig:
                 raise ConfigError(f"{key} must be an integer >= 1")
         if self.n_tags < 0:
             raise ConfigError("n_tags must be an integer >= 0")
+        direct, hop1, hop2 = _peak_gains(self.channel, self.uav_altitude)
+        beta = self.channel.reflection_coeff
+        peak = direct
+        if self.ambc_enabled and self.n_tags > 0 and beta > 0.0:
+            peak += beta * hop1 * hop2
+        if not math.isfinite(peak):
+            raise ConfigError(f"channel.carrier_freq and uav_altitude give "
+                              f"a peak gain that overflows (direct path "
+                              f"{direct:.6g})")
         return self
 
     def to_dict(self):

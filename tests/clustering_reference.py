@@ -1,0 +1,53 @@
+"""Full-matrix references for the grouping DP in ``ambcsim.clustering``.
+
+``optimal_splits`` evaluates every layer of the 1-D k-means dynamic
+program over the whole (n+1)^2 cost matrix, built with fresh temporaries,
+and keeps every row of every argmin table.  ``elbow_select_k`` is the
+numpy form of the elbow rule.  ``ambcsim.clustering`` computes the first
+layer in closed form, only row n of the last layer, and the elbow on
+Python floats; its results must match these bit for bit.
+"""
+
+import numpy as np
+
+
+def optimal_splits(features, k_max):
+    """(order, wcss, splits) of the DP, every layer in full."""
+    x = np.asarray(features, dtype=float).ravel()
+    n = x.size
+    if n == 0:
+        raise ValueError("empty feature vector")
+    order = np.argsort(x, kind="stable")
+    xs = x[order] - x.mean()
+    s1 = np.concatenate(([0.0], np.cumsum(xs)))
+    s2 = np.concatenate(([0.0], np.cumsum(xs * xs)))
+    ends = np.arange(n + 1)
+    length = ends[:, None] - ends[None, :]  # cost[j, i] is that of x[i:j]
+    cost = (s2[:, None] - s2[None, :]
+            - (s1[:, None] - s1[None, :]) ** 2 / np.maximum(length, 1))
+    cost = np.where(length > 0, np.maximum(cost, 0.0), np.inf)
+
+    best = np.full(n + 1, np.inf)  # D_0: only the empty prefix is free
+    best[0] = 0.0
+    total = np.empty_like(cost)
+    wcss, splits = [], []
+    for _ in range(k_max):
+        np.add(cost, best, out=total)
+        split = total.argmin(axis=1)
+        best = total[ends, split]
+        splits.append(split)
+        wcss.append(float(best[n]))
+    return order, wcss, splits
+
+
+def elbow_select_k(wcss_curve):
+    """Cluster count at the maximum second difference, in numpy."""
+    curve = np.asarray(wcss_curve, dtype=float)
+    if curve.size == 0:
+        raise ValueError("empty WCSS curve")
+    if curve.size < 3:
+        return 1
+    if np.max(np.abs(np.diff(curve))) <= 1e-12 * curve[0]:
+        return 1
+    second = curve[:-2] - 2.0 * curve[1:-1] + curve[2:]  # k = 2..k_max-1
+    return int(np.argmax(second)) + 2

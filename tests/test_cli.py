@@ -190,6 +190,31 @@ class TestRunCli:
         rows = (tmp_path / "trials.csv").read_text().splitlines()[1:]
         assert [row.split(",")[4:6] for row in rows] == [["0", "8"]] * 2
 
+    @pytest.mark.parametrize("freq", [
+        "1e-300",   # the direct gain overflows
+        "1e-320",   # its FSPL's log10 underflows
+        "1e-140",   # only the cascaded gain overflows
+    ])
+    def test_overflowing_gain_exit_2(self, tmp_path, freq):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(["--out", str(tmp_path), "--set",
+                                f"channel.carrier_freq={freq}", "single"])
+        assert code == EXIT_CONFIG
+        assert "channel.carrier_freq" in err and "uav_altitude" in err
+        assert not (tmp_path / "trials.csv").exists()
+
+    @pytest.mark.parametrize("setting", [
+        "n_tags=0", "ambc_enabled=false", "channel.reflection_coeff=0"])
+    def test_huge_direct_gain_runs_without_tags(self, tmp_path, setting):
+        # direct gains of about 5e290 stay finite once no tag is used
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(["--out", str(tmp_path), "--set",
+                                "channel.carrier_freq=1e-140", "--set",
+                                setting, "single"])
+        assert code == EXIT_OK, err
+
     def test_zero_plos_a_runs(self, tmp_path):
         # P_LoS = 1 at every elevation; 0 * exp(overflow) once made it NaN
         with warnings.catch_warnings():

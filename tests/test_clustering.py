@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import clustering_reference as reference
+from ambcsim import clustering
 from ambcsim.channel import ChannelState, linear_to_db
 from ambcsim.clustering import (allocate_subcarriers, anova_f_test,
                                 elbow_select_k, group_users, kmeans)
@@ -127,6 +130,64 @@ class TestKmeans:
         assert a1[2] == a2[2]
 
 
+class TestOptimalSplitsAgainstReference:
+    """The DP matches the full-matrix reference bit for bit: WCSS bytes,
+    the trace-back of every k <= k_max and the elbow pick."""
+
+    @staticmethod
+    def assert_matches(x, k_max):
+        order, wcss, splits = clustering._optimal_splits(x, k_max)
+        ref_order, ref_wcss, ref_splits = reference.optimal_splits(x, k_max)
+        assert np.array_equal(order, ref_order)
+        assert np.array(wcss).tobytes() == np.array(ref_wcss).tobytes()
+        # the tables agree wherever a trace-back reads them: in full below
+        # k_max, at row n for k_max; so every trace-back is the same
+        for split, ref_split in zip(splits[:-1], ref_splits):
+            assert np.array_equal(split, ref_split)
+        assert splits[-1][x.size] == ref_splits[-1][x.size]
+        ks = range(1, min(k_max, x.size) + 1)
+        for k in ks if x.size <= 30 else {1, min(2, k_max), ks[-1]}:
+            assert np.array_equal(
+                clustering._trace_back(order, splits, k),
+                clustering._trace_back(ref_order, ref_splits, k))
+        # a curve past k = n holds inf, so numpy's second difference warns
+        with np.errstate(invalid="ignore"):
+            assert elbow_select_k(wcss) == reference.elbow_select_k(ref_wcss)
+
+    @pytest.mark.parametrize("kind", ["random", "integer ties", "constant"])
+    def test_every_n_up_to_130(self, kind):
+        rng = np.random.default_rng(61)
+        for n in range(1, 131):
+            if kind == "random":
+                x = rng.normal(-90.0, 8.0, size=n)
+            elif kind == "integer ties":
+                x = rng.integers(-3, 4, size=n).astype(float)
+            else:
+                x = np.full(n, rng.normal(-90.0, 8.0))
+            for k_max in sorted({1, 2, n}):
+                self.assert_matches(x, k_max)
+
+    def test_k_max_past_n(self):
+        # WCSS inf from k = n + 1 on; the elbow takes the first NaN
+        rng = np.random.default_rng(62)
+        for n in range(1, 12):
+            self.assert_matches(rng.normal(size=n), 12)
+
+    def test_peak_memory_of_a_cold_call(self):
+        # cost and layer buffers plus the cached divisor and mask: about
+        # 3.13 (n + 1)^2 doubles; the full-matrix DP needed 4.13
+        n = 1000
+        x = np.random.default_rng(63).normal(size=n)
+        clustering._grid.cache_clear()
+        tracemalloc.start()
+        try:
+            clustering._optimal_splits(x, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 8 * (n + 1) ** 2
+
+
 class TestElbowSelectK:
     def test_sharp_elbow_at_two(self):
         assert elbow_select_k([100.0, 10.0, 9.0, 8.5]) == 2
@@ -136,6 +197,10 @@ class TestElbowSelectK:
 
     def test_elbow_at_three(self):
         assert elbow_select_k([100.0, 60.0, 20.0, 18.0, 17.0]) == 3
+
+    def test_tie_goes_to_smaller_k(self):
+        # second differences 0 and 0 at k = 2 and 3
+        assert elbow_select_k([30.0, 20.0, 10.0, 0.0]) == 2
 
     def test_short_curve_returns_one(self):
         assert elbow_select_k([10.0, 1.0]) == 1

@@ -1,0 +1,65 @@
+"""Digest of the outputs of a fixed set of CLI campaigns.
+
+    python3 tools/campaign_digest.py [SRC] > digest.txt
+
+Runs each campaign in ``CAMPAIGNS`` in-process through
+``ambcsim.cli.main``, in a temporary directory, and prints one line per
+output: the sha256 of ``trials.csv``, ``aggregates.csv``,
+``config.snapshot.json`` and the printed standard output, with the
+campaign's exit code.  SRC is the source directory whose ``ambcsim`` is
+imported; it defaults to the ``src`` of the checkout holding this file.
+Run it once against each of two checkouts and ``diff`` the two digests:
+no output means the two give the same bytes on every campaign.
+"""
+
+import contextlib
+import hashlib
+import io
+import shlex
+import sys
+import tempfile
+from pathlib import Path
+
+# Edge cases of the grouping DP: k_max = 1 (one layer), k_max = 2 (no
+# middle layer), n_subcarriers = 3 (k capped below k_max); the rest cover
+# the defaults, a binding power budget, dense tags and a large n.
+CAMPAIGNS = [
+    "--seed 5 --trials 5 sweep-users",
+    "--seed 5 --trials 5 --set p_max=1e-06 sweep-data",
+    "--seed 5 --trials 2 --set n_tags=1000 sweep-users",
+    "--seed 5 single",
+    "--seed 5 --trials 3 --set n_ues=300 --set n_subcarriers=64 sweep-data",
+    "--seed 7 --trials 3 --set k_max=1 sweep-users",
+    "--seed 7 --trials 3 --set k_max=2 sweep-users",
+    "--seed 7 --trials 3 --set n_subcarriers=3 sweep-users",
+]
+FILES = ["trials.csv", "aggregates.csv", "config.snapshot.json"]
+
+
+def digest(campaign, cli):
+    """Lines "<sha256>  <campaign> :: <output>" of one campaign."""
+    with tempfile.TemporaryDirectory() as tmp:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(["--out", tmp, *shlex.split(campaign)])
+        blobs = {name: (Path(tmp) / name).read_bytes()
+                 if (Path(tmp) / name).exists() else b"<missing>"
+                 for name in FILES}
+    blobs["stdout"] = stdout.getvalue().encode()
+    lines = [f"{hashlib.sha256(blob).hexdigest()}  {campaign} :: {name}"
+             for name, blob in blobs.items()]
+    return [f"exit {code}  {campaign}", *lines]
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    root = Path(__file__).resolve().parents[1]
+    src = Path(argv[0]) if argv else root / "src"
+    sys.path.insert(0, str(src.resolve()))
+    from ambcsim import cli
+    for campaign in CAMPAIGNS:
+        print("\n".join(digest(campaign, cli)), flush=True)
+
+
+if __name__ == "__main__":
+    main()
