@@ -3,8 +3,8 @@ tags, k-means NOMA grouping, and minimum-power allocation."""
 
 from .channel import (ChannelParams, ChannelState, a2g_path_loss,
                       effective_gains, noise_power, positions)
-from .clustering import (ClusterPlan, allocate_subcarriers, anova_f_test,
-                         elbow_select_k, group_users, kmeans)
+from .clustering import (ClusterPlan, allocate_subcarriers, elbow_select_k,
+                         group_users, kmeans)
 from .config import ConfigError, SimConfig, dbm_to_watts
 from .harness import (Deployment, EeReport, derive_trial_seed, run_trial,
                       sample_deployment, sweep, write_results)

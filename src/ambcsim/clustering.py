@@ -2,9 +2,10 @@
 
 Pipeline: exact 1-D k-means by dynamic programming, which gives the
 globally optimal WCSS for every k = 1..k_max in one pass; elbow selection
-of k on that WCSS curve; one-way ANOVA F-test of the chosen partition
-(diagnostic only); and proportional subcarrier allocation across
-clusters.  Cluster labels ascend with the gain.
+of k on that WCSS curve; the one-way ANOVA F statistic of the chosen
+partition, read off the same curve (diagnostic only); and proportional
+subcarrier allocation across clusters.  Cluster labels ascend with the
+gain.
 """
 
 import functools
@@ -93,15 +94,17 @@ def _optimal_splits(features, k_max):
 
 
 def _trace_back(order, splits, k):
-    """Assignment of the optimal k-partition; cluster labels ascend with
-    the feature."""
+    """(assignment, sizes) of the optimal k-partition: each UE's cluster
+    and each cluster's size; cluster labels ascend with the feature."""
     assign = np.empty(order.size, dtype=int)
+    sizes = np.empty(k, dtype=int)
     end = order.size
     for c in range(k - 1, -1, -1):
         start = int(splits[c][end])
         assign[order[start:end]] = c
+        sizes[c] = end - start
         end = start
-    return assign
+    return assign, sizes
 
 
 def kmeans(features, k):
@@ -116,9 +119,8 @@ def kmeans(features, k):
     if not 1 <= k <= x.size:
         raise ValueError(f"k must be in [1, {x.size}], got {k}")
     order, wcss, splits = _optimal_splits(x, k)
-    assign = _trace_back(order, splits, k)
-    centroids = (np.bincount(assign, weights=x, minlength=k)
-                 / np.bincount(assign, minlength=k))
+    assign, sizes = _trace_back(order, splits, k)
+    centroids = np.bincount(assign, weights=x, minlength=k) / sizes
     return assign, centroids, wcss[k - 1]
 
 
@@ -126,52 +128,24 @@ def elbow_select_k(wcss_curve):
     """Cluster count at the maximum second difference of the WCSS curve.
 
     Returns 1 when fewer than 3 candidates exist or the curve is flat;
-    ties break toward the smaller k.  Works on Python floats: the curve
-    is at most k_max long, far too short for numpy to pay off.
+    ties break toward the smaller k.  A curve that is not finite, such
+    as one run past k = n, is refused.  Works on Python floats: the
+    curve is at most k_max long, far too short for numpy to pay off.
     """
     curve = [float(w) for w in wcss_curve]
     if not curve:
         raise ValueError("empty WCSS curve")
+    if not all(map(math.isfinite, curve)):
+        raise ValueError(f"WCSS curve must be finite, got {curve}")
     if len(curve) < 3:
         return 1
     flat = 1e-12 * curve[0]
     if all(abs(b - a) <= flat for a, b in zip(curve, curve[1:])):
         return 1
-    # k = 2..k_max-1
+    # k = 2..k_max-1; index finds the first maximum
     second = [a - 2.0 * b + c
               for a, b, c in zip(curve, curve[1:], curve[2:])]
-    # the first maximum, or the first NaN (inf - inf, from a curve that
-    # runs past k = n), as np.argmax takes it
-    top = 0
-    for i, v in enumerate(second):
-        if v != v:
-            return i + 2
-        if v > second[top]:
-            top = i
-    return top + 2
-
-
-def anova_f_test(features, assignment):
-    """One-way ANOVA F statistic of the grouped features; +inf when the
-    within-cluster sum of squares is zero."""
-    x = np.asarray(features, dtype=float).ravel()
-    a = np.asarray(assignment, dtype=int).ravel()
-    k = int(a.max()) + 1 if a.size else 0
-    if k < 2:
-        raise ValueError("F-test needs at least 2 clusters")
-    counts = np.bincount(a, minlength=k)
-    if np.any(counts == 0):
-        raise ValueError("F-test requires non-empty clusters")
-    if x.size < k + 1:
-        raise ValueError("F-test needs at least k+1 points")
-
-    grand = x.mean()
-    means = np.bincount(a, weights=x, minlength=k) / counts
-    ssb = float(np.sum(counts * (means - grand) ** 2))
-    ssw = float(np.sum((x - means[a]) ** 2))
-    if ssw <= 0.0:
-        return math.inf
-    return (ssb / (k - 1)) / (ssw / (x.size - k))
+    return second.index(max(second)) + 2
 
 
 def allocate_subcarriers(cluster_sizes, n_subcarriers):
@@ -202,18 +176,26 @@ def group_users(channel: ChannelState, n_subcarriers, k_max=10):
     """Full grouping pipeline on the effective-gain feature in dB.
 
     The WCSS curve and k stop at min(k_max, n, n_subcarriers), so every
-    cluster gets at least one subcarrier.
+    cluster gets at least one subcarrier.  F takes the total sum of
+    squares from wcss_curve[0] and the within-cluster one from
+    wcss_curve[k - 1] of the traced partition; it is nan for k = 1 and
+    inf when the within sum is 0 (the elbow picks k < n).
     """
     features = linear_to_db(channel.effective_gain)
-    k_hi = min(k_max, features.size, n_subcarriers)
+    n = features.size
+    k_hi = min(k_max, n, n_subcarriers)
 
     order, wcss_curve, splits = _optimal_splits(features, k_hi)
     k = elbow_select_k(wcss_curve)
-    assign = _trace_back(order, splits, k)
+    assign, sizes = _trace_back(order, splits, k)
 
-    # undefined for a single cluster
-    f_stat = anova_f_test(features, assign) if k >= 2 else math.nan
+    total, within = wcss_curve[0], wcss_curve[k - 1]
+    if k == 1:
+        f_stat = math.nan
+    elif within <= 0.0:
+        f_stat = math.inf
+    else:
+        f_stat = (max(total - within, 0.0) / (k - 1)) / (within / (n - k))
 
-    sizes = np.bincount(assign, minlength=k)
     subcarriers = allocate_subcarriers(sizes, n_subcarriers)
     return ClusterPlan(k, assign, wcss_curve, f_stat, subcarriers)

@@ -10,6 +10,9 @@ from .channel import ChannelParams, a2g_path_loss
 
 UE_HEIGHT = 1.5   # m, handset
 TAG_HEIGHT = 1.0  # m
+# Bytes that the grouping DP, or the channel's UE x tag block, may take.
+# 4 GiB admits n_ues <= 13106, and n_ues * n_tags <= 252645135.
+MEMORY_BUDGET = 1 << 32
 
 
 class ConfigError(ValueError):
@@ -97,6 +100,15 @@ class SimConfig:
                 raise ConfigError(f"{key} must be an integer >= 1")
         if self.n_tags < 0:
             raise ConfigError("n_tags must be an integer >= 0")
+        # The grouping DP holds 25 bytes per (n_ues + 1)^2 entry: two
+        # float buffers, the cached divisor and the empty-run mask.  The
+        # UE x tag block holds 17 bytes per pair: two floats and a mask.
+        for keys, size in [("n_ues", 25 * (self.n_ues + 1) ** 2),
+                           ("n_ues and n_tags",
+                            17 * self.n_ues * self.n_tags)]:
+            if size > MEMORY_BUDGET:
+                raise ConfigError(f"{keys} would need {size} bytes, over "
+                                  f"the {MEMORY_BUDGET}-byte memory budget")
         direct, hop1, hop2 = _peak_gains(self.channel, self.uav_altitude)
         beta = self.channel.reflection_coeff
         peak = direct

@@ -174,6 +174,10 @@ def sweep(config: SimConfig, key, values) -> EeReport:
     replace(config, **{key: value}), which validates the value by key."""
     if not values:
         raise ValueError("a sweep needs at least one value")
+    for si, value in enumerate(values):
+        # a repeat would give a second run the same (value, trial) key
+        if value in values[:si]:
+            raise ValueError(f"{key} sweep value {value:g} is repeated")
     records = []
     for si, value in enumerate(values):
         cfg = replace(config, **{key: value})

@@ -5,8 +5,12 @@ program over the whole (n+1)^2 cost matrix, built with fresh temporaries,
 and keeps every row of every argmin table.  ``elbow_select_k`` is the
 numpy form of the elbow rule.  ``ambcsim.clustering`` computes the first
 layer in closed form, only row n of the last layer, and the elbow on
-Python floats; its results must match these bit for bit.
+Python floats; its results must match these bit for bit on every finite
+curve.  ``anova_f_test`` is the two-pass one-way ANOVA F statistic of any
+partition, against which ``group_users`` reads F off its WCSS curve.
 """
+
+import math
 
 import numpy as np
 
@@ -51,3 +55,26 @@ def elbow_select_k(wcss_curve):
         return 1
     second = curve[:-2] - 2.0 * curve[1:-1] + curve[2:]  # k = 2..k_max-1
     return int(np.argmax(second)) + 2
+
+
+def anova_f_test(features, assignment):
+    """One-way ANOVA F statistic of the grouped features; +inf when the
+    within-cluster sum of squares is zero."""
+    x = np.asarray(features, dtype=float).ravel()
+    a = np.asarray(assignment, dtype=int).ravel()
+    k = int(a.max()) + 1 if a.size else 0
+    if k < 2:
+        raise ValueError("F-test needs at least 2 clusters")
+    counts = np.bincount(a, minlength=k)
+    if np.any(counts == 0):
+        raise ValueError("F-test requires non-empty clusters")
+    if x.size < k + 1:
+        raise ValueError("F-test needs at least k+1 points")
+
+    grand = x.mean()
+    means = np.bincount(a, weights=x, minlength=k) / counts
+    ssb = float(np.sum(counts * (means - grand) ** 2))
+    ssw = float(np.sum((x - means[a]) ** 2))
+    if ssw <= 0.0:
+        return math.inf
+    return (ssb / (k - 1)) / (ssw / (x.size - k))

@@ -16,8 +16,9 @@ import pytest
 from scipy import stats
 
 from ambcsim import harness
-from ambcsim.channel import ChannelParams, noise_power
-from ambcsim.clustering import anova_f_test, kmeans
+from ambcsim.channel import (ChannelParams, ChannelState, linear_to_db,
+                             noise_power)
+from ambcsim.clustering import group_users, kmeans
 from ambcsim.config import SimConfig, dbm_to_watts
 from ambcsim.harness import derive_trial_seed, run_trial, sweep, write_results
 from ambcsim.power import RateDemand, iterative_power_allocation, sinr_gamma
@@ -203,23 +204,31 @@ class TestCriterion4PowerOracle:
 
 
 class TestCriterion5AnovaCorrectness:
+    @staticmethod
+    def plan_of(features_db):
+        """group_users' plan and features for gains of the given dB."""
+        gain = 10.0 ** (np.asarray(features_db) / 10.0)
+        state = ChannelState(direct_gain=gain,
+                             backscatter_gain=np.zeros_like(gain),
+                             effective_gain=gain,
+                             best_tag_index=np.full(gain.size, -1))
+        return group_users(state, 128, k_max=10), linear_to_db(gain)
+
     def test_fixture_and_random_instances(self):
-        f = anova_f_test([1.0, 2.0, 5.0, 6.0], [0, 0, 1, 1])
-        assert abs(f - 32.0) < 1e-9
+        plan, _ = self.plan_of([1.0, 2.0, 5.0, 6.0])
+        assert list(plan.assignment) == [0, 0, 1, 1]
+        assert abs(plan.f_statistic - 32.0) < 1e-9
         rng = np.random.default_rng(SEED + 1)
         for _ in range(200):
             n = int(rng.integers(6, 21))
             k = int(rng.integers(2, 5))
-            assign = np.concatenate([np.arange(k),
-                                     rng.integers(0, k, size=n - k)])
-            rng.shuffle(assign)
-            x = rng.normal(size=n) + 0.7 * assign
-            f = anova_f_test(x, assign)
-            groups = [x[assign == c] for c in range(k)]
+            plan, x = self.plan_of(-90.0 + 8.0 * rng.normal(size=n)
+                                   + 6.0 * rng.integers(0, k, size=n))
+            groups = [x[plan.assignment == c] for c in range(plan.k)]
             ref = stats.f_oneway(*groups)
-            assert f == pytest.approx(ref.statistic, rel=1e-6)
-        ok(5, "F fixture exact; 200 random instances within 1e-6 relative "
-              "of the independent oracle")
+            assert plan.f_statistic == pytest.approx(ref.statistic, rel=1e-6)
+        ok(5, "group_users' F: fixture exact; 200 random instances within "
+              "1e-6 relative of the independent oracle")
 
 
 class TestCriterion6KmeansLocalOptimality:

@@ -11,8 +11,8 @@ from scipy import stats
 import clustering_reference as reference
 from ambcsim import clustering
 from ambcsim.channel import ChannelState, linear_to_db
-from ambcsim.clustering import (allocate_subcarriers, anova_f_test,
-                                elbow_select_k, group_users, kmeans)
+from ambcsim.clustering import (allocate_subcarriers, elbow_select_k,
+                                group_users, kmeans)
 
 
 def wcss_of(features, assignment, k):
@@ -147,11 +147,12 @@ class TestOptimalSplitsAgainstReference:
         assert splits[-1][x.size] == ref_splits[-1][x.size]
         ks = range(1, min(k_max, x.size) + 1)
         for k in ks if x.size <= 30 else {1, min(2, k_max), ks[-1]}:
-            assert np.array_equal(
-                clustering._trace_back(order, splits, k),
-                clustering._trace_back(ref_order, ref_splits, k))
-        # a curve past k = n holds inf, so numpy's second difference warns
-        with np.errstate(invalid="ignore"):
+            assign, sizes = clustering._trace_back(order, splits, k)
+            ref_assign, _ = clustering._trace_back(ref_order, ref_splits, k)
+            assert np.array_equal(assign, ref_assign)
+            assert np.array_equal(sizes, np.bincount(assign, minlength=k))
+        # a curve past k = n holds inf, which the elbow refuses
+        if np.all(np.isfinite(wcss)):
             assert elbow_select_k(wcss) == reference.elbow_select_k(ref_wcss)
 
     @pytest.mark.parametrize("kind", ["random", "integer ties", "constant"])
@@ -168,10 +169,15 @@ class TestOptimalSplitsAgainstReference:
                 self.assert_matches(x, k_max)
 
     def test_k_max_past_n(self):
-        # WCSS inf from k = n + 1 on; the elbow takes the first NaN
+        # WCSS inf from k = n + 1 on, a curve the elbow refuses
         rng = np.random.default_rng(62)
         for n in range(1, 12):
-            self.assert_matches(rng.normal(size=n), 12)
+            x = rng.normal(size=n)
+            self.assert_matches(x, 12)
+            wcss = clustering._optimal_splits(x, 12)[1]
+            assert math.isinf(wcss[-1])
+            with pytest.raises(ValueError, match="finite"):
+                elbow_select_k(wcss)
 
     def test_peak_memory_of_a_cold_call(self):
         # cost and layer buffers plus the cached divisor and mask: about
@@ -212,27 +218,35 @@ class TestElbowSelectK:
     def test_all_zero_curve_returns_one(self):
         assert elbow_select_k([0.0, 0.0, 0.0, 0.0]) == 1
 
+    @pytest.mark.parametrize("curve", [[0.0, 0.0, math.inf, math.inf,
+                                        math.inf],
+                                       [3.0, 1.0, math.nan],
+                                       [math.inf, 1.0]])
+    def test_non_finite_curve_rejected(self, curve):
+        with pytest.raises(ValueError, match="finite"):
+            elbow_select_k(curve)
+
 
 class TestAnovaFTest:
     def test_hand_computed_fixture(self):
-        f = anova_f_test([1.0, 2.0, 5.0, 6.0], [0, 0, 1, 1])
+        f = reference.anova_f_test([1.0, 2.0, 5.0, 6.0], [0, 0, 1, 1])
         assert abs(f - 32.0) < 1e-9
 
     def test_zero_within_variance(self):
-        f = anova_f_test([0.0, 0.0, 10.0, 10.0], [0, 0, 1, 1])
+        f = reference.anova_f_test([0.0, 0.0, 10.0, 10.0], [0, 0, 1, 1])
         assert math.isinf(f)
 
     def test_equal_group_means(self):
-        f = anova_f_test([1.0, 2.0, 1.0, 2.0], [0, 0, 1, 1])
+        f = reference.anova_f_test([1.0, 2.0, 1.0, 2.0], [0, 0, 1, 1])
         assert f == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
-            anova_f_test([1.0, 2.0, 3.0], [0, 0, 2])
+            reference.anova_f_test([1.0, 2.0, 3.0], [0, 0, 2])
 
     def test_single_cluster_rejected(self):
         with pytest.raises(ValueError):
-            anova_f_test([1.0, 2.0, 3.0], [0, 0, 0])
+            reference.anova_f_test([1.0, 2.0, 3.0], [0, 0, 0])
 
     def test_against_scipy_oracle(self):
         rng = np.random.default_rng(31)
@@ -243,7 +257,7 @@ class TestAnovaFTest:
                                      rng.integers(0, k, size=n - k)])
             rng.shuffle(assign)
             x = rng.normal(size=n) + 0.5 * assign
-            f = anova_f_test(x, assign)
+            f = reference.anova_f_test(x, assign)
             groups = [x[assign == c] for c in range(k)]
             ref = stats.f_oneway(*groups)
             assert f == pytest.approx(ref.statistic, rel=1e-6)
@@ -285,6 +299,22 @@ class TestGroupUsers:
                            k_max=3)
         assert plan.k == 2
         assert math.isinf(plan.f_statistic)
+
+    def test_f_statistic_against_scipy_oracle(self):
+        # F of the plan's own partition, from 10 dB spreads down to
+        # 1e-9 dB, where the features differ in their last few digits
+        rng = np.random.default_rng(55)
+        for spread in [10.0, 1.0, 1e-3, 1e-6, 1e-9]:
+            for _ in range(40):
+                n = int(rng.integers(3, 61))
+                state = state_from_db(rng.normal(-90.0, spread, size=n))
+                plan = group_users(state, 128, k_max=10)
+                features = linear_to_db(state.effective_gain)
+                groups = [features[plan.assignment == c]
+                          for c in range(plan.k)]
+                ref = stats.f_oneway(*groups).statistic
+                assert plan.k >= 2 and plan.f_statistic >= 0.0
+                assert plan.f_statistic == pytest.approx(ref, rel=1e-9)
 
     def test_identical_gains_collapse_to_one(self):
         plan = group_users(state_from_db([-90.0] * 12), 128, k_max=10)

@@ -163,6 +163,16 @@ class TestSweeps:
         with pytest.raises(ValueError):
             sweep(small_config(), "data_bits", [])
 
+    @pytest.mark.parametrize("key, values, repeated", [
+        ("n_ues", [8, 8], "8"),
+        ("data_bits", [30_000.0, 60_000.0, 30_000], "30000"),
+    ])
+    def test_repeated_value_rejected(self, key, values, repeated):
+        # each would be a second trial under the same (value, trial) key
+        with pytest.raises(ValueError,
+                           match=f"{key} sweep value {repeated} is repeated"):
+            sweep(SimConfig(n_trials=2, n_ues=8, n_tags=3), key, values)
+
     def test_aggregates_recomputable(self):
         cfg = small_config(n_trials=8)
         rep = sweep(cfg, "n_ues", [5, 12])
@@ -234,6 +244,22 @@ class TestValidationOnEveryPath:
     def test_sweep_value_of_the_wrong_type_rejected(self):
         with pytest.raises(ConfigError, match="n_ues"):
             sweep(small_config(), "n_ues", [10.5])
+
+    @pytest.mark.parametrize("n_ues, n_tags, keys", [
+        (13_107, 0, "n_ues"),
+        (10 ** 12, 10, "n_ues"),
+        (1, 252_645_136, "n_ues and n_tags"),
+        (100, 2_526_452, "n_ues and n_tags"),
+    ])
+    def test_over_memory_budget_rejected(self, n_ues, n_tags, keys):
+        # built, never run: the check must not allocate what it bounds
+        with pytest.raises(ConfigError, match=f"^{keys} would need"):
+            SimConfig(n_ues=n_ues, n_tags=n_tags)
+
+    def test_largest_within_memory_budget_accepted(self):
+        SimConfig(n_ues=13_106, n_tags=0)
+        SimConfig(n_ues=1, n_tags=252_645_135)
+        SimConfig(n_ues=100, n_tags=2_526_451)
 
     def test_replace_revalidates(self):
         with pytest.raises(ConfigError, match="n_ues"):

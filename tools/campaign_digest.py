@@ -21,8 +21,9 @@ import tempfile
 from pathlib import Path
 
 # Edge cases of the grouping DP: k_max = 1 (one layer), k_max = 2 (no
-# middle layer), n_subcarriers = 3 (k capped below k_max); the rest cover
-# the defaults, a binding power budget, dense tags and a large n.
+# middle layer), n_subcarriers = 3 (k capped below k_max); a small cell
+# without tags, whose close gains put F's last digits at stake; the rest
+# cover the defaults, a binding power budget, dense tags and a large n.
 CAMPAIGNS = [
     "--seed 5 --trials 5 sweep-users",
     "--seed 5 --trials 5 --set p_max=1e-06 sweep-data",
@@ -32,6 +33,8 @@ CAMPAIGNS = [
     "--seed 7 --trials 3 --set k_max=1 sweep-users",
     "--seed 7 --trials 3 --set k_max=2 sweep-users",
     "--seed 7 --trials 3 --set n_subcarriers=3 sweep-users",
+    "--seed 2 --trials 10 --set n_tags=0 --set coverage_radius=20 "
+    "sweep-users",
 ]
 FILES = ["trials.csv", "aggregates.csv", "config.snapshot.json"]
 
