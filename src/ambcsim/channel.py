@@ -47,9 +47,9 @@ def positions(x, y, z):
     """
     out = np.empty(np.broadcast(x, y, z).shape, dtype=XYZ)
     out["x"], out["y"], out["z"] = x, y, z
-    if not all(np.isfinite(out[f]).all() for f in "xyz"):
+    if not np.isfinite(out.reshape(-1).view(float)).all():
         raise ValueError("position coordinates must be finite")
-    if np.any(out["z"] < 0):
+    if (out["z"] < 0).any():
         raise ValueError("height z must be >= 0")
     return out
 
@@ -159,8 +159,8 @@ def effective_gains(deployment, params: ChannelParams,
     if ambc_enabled and tags.size and params.reflection_coeff > 0.0:
         # contiguous coordinate rows x, y, z: the UEs, then the tags
         xyz = np.empty((3, n + tags.size))
-        xyz[:, :n] = ues["x"], ues["y"], ues["z"]
-        xyz[:, n:] = tags["x"], tags["y"], tags["z"]
+        xyz[:, :n] = ues.view(float).reshape(n, 3).T
+        xyz[:, n:] = tags.view(float).reshape(-1, 3).T
         # the UEs' direct paths and the tags' hop 2 in one pass
         dz = az - xyz[2]
         np.abs(dz[n:], out=dz[n:])
@@ -207,7 +207,7 @@ def _best_tags(xyz, g2, params: ChannelParams):
     """
     m = g2.size
     n = xyz.shape[1] - m
-    z_hi = xyz[2].max() - xyz[2].min()
+    z_hi = np.maximum.reduce(xyz[2]) - np.minimum.reduce(xyz[2])
     # one (2, n, m) block: dx^2 and dy^2, then s and q, then the cascaded
     # gains in place of s; fresh blocks would page-fault on every call
     buf = np.empty((2, n, m))
@@ -221,12 +221,13 @@ def _best_tags(xyz, g2, params: ChannelParams):
         np.divide(g2, q, out=q)
         floor = q.max(axis=1) * ((1.0 - BOUND_SLACK) / _far_ratio(params))
         keep |= q >= floor[:, None]
-    # the flat nonzero is ~10x faster than the 2-d one on large blocks
-    i, j = np.unravel_index(keep.ravel().nonzero()[0], keep.shape)
+    # flat indices beat 2-d ones (nonzero by ~10x on large blocks)
+    flat = keep.ravel().nonzero()[0]
+    i, j = np.unravel_index(flat, keep.shape)
     dx, dy, dz = xyz.take(i, axis=1) - xyz[:, n:].take(j, axis=1)
     g1 = _link_gain(dx, dy, np.abs(dz), params)
     cascaded = buf[0]
     cascaded.fill(0.0)
-    cascaded[i, j] = params.reflection_coeff * g1 * g2[j]
+    cascaded.put(flat, params.reflection_coeff * g1 * g2.take(j))
     best = cascaded.argmax(axis=1)  # ties -> lowest index
-    return best, cascaded[np.arange(n), best]
+    return best, cascaded.take(best + np.arange(0, n * m, m))

@@ -30,16 +30,17 @@ class ClusterPlan:
 
 @functools.lru_cache(maxsize=1)
 def _grid(n):
-    """Read-only constants of the DP on n points: the row index 0..n, the
-    divisor max(j - i, 1) and the mask of empty runs j <= i, each (j, i).
-    One entry suffices: every trial of a sweep point has the same n."""
+    """Read-only constants of the DP on n points: each row's flat offset
+    (n + 1) j, the divisor max(j - i, 1) and the mask of empty runs j <= i,
+    each (j, i).  One entry suffices: a sweep point's trials share n."""
     ends = np.arange(n + 1)
     length = np.subtract.outer(ends, ends)
     divisor = np.maximum(length, 1).astype(float)
     empty = length <= 0
-    for a in (ends, divisor, empty):
+    rows = ends * (n + 1)
+    for a in (rows, divisor, empty):
         a.flags.writeable = False
-    return ends, divisor, empty
+    return rows, divisor, empty
 
 
 def _optimal_splits(features, k_max):
@@ -58,11 +59,13 @@ def _optimal_splits(features, k_max):
     n = x.size
     if n == 0:
         raise ValueError("empty feature vector")
-    order = np.argsort(x, kind="stable")
-    xs = x[order] - x.mean()  # centred, so prefix sums do not cancel badly
-    s1 = np.concatenate(([0.0], np.cumsum(xs)))
-    s2 = np.concatenate(([0.0], np.cumsum(xs * xs)))
-    ends, divisor, empty = _grid(n)
+    order = x.argsort(kind="stable")
+    # centred (the same bits as x - x.mean()), so prefix sums cancel less
+    xs = x[order] - np.add.reduce(x) / n
+    s1, s2 = np.zeros(n + 1), np.zeros(n + 1)  # prefix sums, led by 0
+    xs.cumsum(out=s1[1:])
+    (xs * xs).cumsum(out=s2[1:])
+    rows, divisor, empty = _grid(n)
     # cost[j, i] is that of x[i:j], built in place; layer is its scratch
     cost = np.subtract.outer(s2, s2)
     layer = np.subtract.outer(s1, s1)
@@ -80,7 +83,7 @@ def _optimal_splits(features, k_max):
     for _ in range(k_max - 2):
         np.add(cost, best, out=layer)
         split = layer.argmin(axis=1)
-        best = layer[ends, split]
+        best = layer.take(split + rows)  # flat: faster than layer[j, split]
         splits.append(split)
         wcss.append(float(best[n]))
     if k_max > 1:
@@ -153,23 +156,23 @@ def allocate_subcarriers(cluster_sizes, n_subcarriers):
 
     Remainder ties break toward the larger cluster, then the lower index.
     """
-    sizes = np.asarray(cluster_sizes, dtype=int)
-    m = sizes.size
-    if m == 0 or np.any(sizes < 1):
+    sizes = np.asarray(cluster_sizes, dtype=int).tolist()
+    m = len(sizes)
+    if m == 0 or min(sizes) < 1:
         raise ValueError("cluster sizes must all be >= 1")
     if n_subcarriers < m:
         raise ValueError("more clusters than subcarriers")
 
-    quota = n_subcarriers * sizes / sizes.sum()
-    alloc = np.floor(quota).astype(int)
-    frac = quota - alloc
-    order = sorted(range(m), key=lambda i: (-frac[i], -sizes[i], i))
-    for i in order[: n_subcarriers - int(alloc.sum())]:
+    total = sum(sizes)
+    quota = [n_subcarriers * s / total for s in sizes]
+    alloc = [math.floor(q) for q in quota]
+    order = sorted(range(m), key=lambda i: (alloc[i] - quota[i], -sizes[i], i))
+    for i in order[: n_subcarriers - sum(alloc)]:
         alloc[i] += 1
-    while np.any(alloc == 0):
-        alloc[int(np.argmax(alloc))] -= 1
-        alloc[int(np.argmax(alloc == 0))] += 1
-    return alloc
+    while 0 in alloc:
+        alloc[alloc.index(max(alloc))] -= 1
+        alloc[alloc.index(0)] += 1
+    return np.array(alloc)
 
 
 def group_users(channel: ChannelState, n_subcarriers, k_max=10):

@@ -30,8 +30,8 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass
 class Deployment:
-    """UE and tag positions as XYZ record arrays (channel.positions) and
-    the UAV as one XYZ record."""
+    """UE and tag positions as contiguous XYZ record arrays, as
+    channel.positions returns them, and the UAV as one XYZ record."""
 
     ue_positions: np.ndarray
     tag_positions: np.ndarray
@@ -124,17 +124,16 @@ def evaluate_mode(config: SimConfig, deployment: Deployment, ambc_enabled,
     demand = RateDemand(config.data_bits, config.frame_duration)
     subcarrier_bw = config.bandwidth / config.n_subcarriers
 
-    n = state.effective_gain.size
-    served_mask = np.zeros(n, dtype=bool)
+    served_mask = np.zeros(state.effective_gain.size, dtype=bool)
     solutions = []
-    for c in range(plan.k):
-        idx = np.where(plan.assignment == c)[0]
-        bw = float(plan.subcarriers_per_cluster[c]) * subcarrier_bw
+    for c, subcarriers in enumerate(plan.subcarriers_per_cluster.tolist()):
+        idx = (plan.assignment == c).nonzero()[0]
+        bw = subcarriers * subcarrier_bw
         noise = noise_power(bw, config.channel.noise_psd)
         sol = iterative_power_allocation(state.effective_gain[idx], demand,
                                          bw, noise, config.p_max)
         solutions.append(sol)
-        served_mask[idx[~sol.outage]] = True
+        served_mask[idx] = ~sol.outage  # the clusters partition the UEs
 
     breakdown = compute_ee(solutions, demand,
                            dbm_to_watts(config.circuit_power))
@@ -155,11 +154,12 @@ def run_trial(config: SimConfig, trial_seed):
 
 
 def _aggregate(records):
-    keys = sorted({(r.sweep_value, r.mode) for r in records})
+    groups = {}  # (sweep value, mode) -> EEs in record order
+    for r in records:
+        groups.setdefault((r.sweep_value, r.mode), []).append(r.ee)
     out = []
-    for value, mode in keys:
-        ees = np.array([r.ee for r in records
-                        if r.sweep_value == value and r.mode == mode])
+    for value, mode in sorted(groups):
+        ees = np.array(groups[value, mode])
         n = ees.size
         std = float(np.std(ees, ddof=1)) if n > 1 else 0.0
         out.append(Aggregate(sweep_value=value, mode=mode,

@@ -76,7 +76,7 @@ def iterative_power_allocation(cluster_gains, demand: RateDemand,
     """Minimum-power allocation for one cluster with admission control.
 
     The UEs are scanned weakest first, and a UE is admitted iff it fits
-    at the next free rank: rungs[len(admitted)] / g <= p_max.  A later
+    at the next free rank r: rungs[r] / g <= p_max.  A later
     admission is stronger, so it never changes an admitted UE's rank and
     the admitted set is feasible.  The scan serves the most UEs: by an
     exchange argument, on every weakest-first prefix it has admitted at
@@ -96,35 +96,31 @@ def iterative_power_allocation(cluster_gains, demand: RateDemand,
 
     gamma = sinr_gamma(demand.required_rate, cluster_bandwidth)
     # Weakest first: strongest first with ties by ascending index, reversed.
-    order = np.argsort(-gains, kind="stable")[::-1]
+    order = (-gains).argsort(kind="stable")[::-1]
     with np.errstate(over="ignore"):
         # Received power at served rank r = 0, 1, ... (0 = weakest).
         rungs = gamma * noise * (1.0 + gamma) ** np.arange(n)
-    # Python floats divide with the same IEEE rounding as numpy, so the
-    # test matches the powers computed below bit for bit.
+    # Python floats divide with numpy's IEEE rounding; p is the power
     rung = rungs.tolist()
-    admitted = []
+    power, outage = [0.0] * n, [True] * n
+    r = 0
     for i, g in zip(order.tolist(), gains[order].tolist()):
-        if rung[len(admitted)] / g <= p_max:
-            admitted.append(i)
-    ladder = np.array(admitted, dtype=np.intp)
-    p = np.zeros(n)
-    p[ladder] = rungs[:ladder.size] / gains[ladder]
-    outage = np.ones(n, dtype=bool)
-    outage[ladder] = False
-    return PowerSolution(power=p, outage=outage, iterations=1)
+        p = rung[r] / g
+        if p <= p_max:
+            power[i], outage[i] = p, False
+            r += 1
+    return PowerSolution(np.array(power), np.array(outage), iterations=1)
 
 
 def compute_ee(solutions, demand: RateDemand, circuit_power):
     """Bits-per-joule over one frame; outage UEs contribute nothing."""
-    served = 0
-    outage = 0
+    served = outage = 0
     tx_power = 0.0
     for sol in solutions:
         served_mask = ~sol.outage
-        served += int(served_mask.sum())
-        outage += int(sol.outage.sum())
-        tx_power += float(sol.power[served_mask].sum())
+        served += int(np.count_nonzero(served_mask))
+        outage += int(np.count_nonzero(sol.outage))
+        tx_power += float(np.add.reduce(sol.power[served_mask]))
 
     total_bits = demand.data_bits * served
     total_energy = demand.frame_duration * (tx_power + circuit_power * served)

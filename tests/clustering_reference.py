@@ -8,6 +8,9 @@ layer in closed form, only row n of the last layer, and the elbow on
 Python floats; its results must match these bit for bit on every finite
 curve.  ``anova_f_test`` is the two-pass one-way ANOVA F statistic of any
 partition, against which ``group_users`` reads F off its WCSS curve.
+``allocate_subcarriers`` is the numpy form of the largest-remainder
+split, which ``ambcsim.clustering`` runs on Python ints and floats; the
+two must agree bit for bit.
 """
 
 import math
@@ -78,3 +81,26 @@ def anova_f_test(features, assignment):
     if ssw <= 0.0:
         return math.inf
     return (ssb / (k - 1)) / (ssw / (x.size - k))
+
+
+def allocate_subcarriers(cluster_sizes, n_subcarriers):
+    """Largest-remainder proportional split in numpy; every cluster gets
+    >= 1.  Remainder ties break toward the larger cluster, then the lower
+    index."""
+    sizes = np.asarray(cluster_sizes, dtype=int)
+    m = sizes.size
+    if m == 0 or np.any(sizes < 1):
+        raise ValueError("cluster sizes must all be >= 1")
+    if n_subcarriers < m:
+        raise ValueError("more clusters than subcarriers")
+
+    quota = n_subcarriers * sizes / sizes.sum()
+    alloc = np.floor(quota).astype(int)
+    frac = quota - alloc
+    order = sorted(range(m), key=lambda i: (-frac[i], -sizes[i], i))
+    for i in order[: n_subcarriers - int(alloc.sum())]:
+        alloc[i] += 1
+    while np.any(alloc == 0):
+        alloc[int(np.argmax(alloc))] -= 1
+        alloc[int(np.argmax(alloc == 0))] += 1
+    return alloc

@@ -1,7 +1,8 @@
 """Scalar SIC power references for the tests.
 
 Plain loops over the SIC recursion, independent of the vectorised ladder
-in ``ambcsim.power``.
+in ``ambcsim.power``, and ``gather_and_divide``, the numpy form of that
+ladder's admission scan, which ``ambcsim.power`` must match bit for bit.
 """
 
 import itertools
@@ -76,4 +77,26 @@ def max_admission(gains, gamma, noise, p_max):
     if best:
         p[best] = best_powers
         outage[best] = False
+    return p, outage
+
+
+def gather_and_divide(gains, gamma, noise, p_max):
+    """The weakest-first admission scan with its powers recomputed in
+    numpy: the scan picks the UEs on Python floats, then their rungs and
+    gains are gathered and divided again.  Returns (powers, outage)."""
+    gains = np.asarray(gains, dtype=float)
+    n = gains.size
+    order = np.argsort(-gains, kind="stable")[::-1]
+    with np.errstate(over="ignore"):
+        rungs = gamma * noise * (1.0 + gamma) ** np.arange(n)
+    rung = rungs.tolist()
+    admitted = []
+    for i, g in zip(order.tolist(), gains[order].tolist()):
+        if rung[len(admitted)] / g <= p_max:
+            admitted.append(i)
+    ladder = np.array(admitted, dtype=np.intp)
+    p = np.zeros(n)
+    p[ladder] = rungs[:ladder.size] / gains[ladder]
+    outage = np.ones(n, dtype=bool)
+    outage[ladder] = False
     return p, outage

@@ -495,6 +495,56 @@ def test_position_invariants():
         positions(float("nan"), 0.0, 0.0)
 
 
+def position_args(shape, axis, value):
+    """(x, y, z) of a valid point set of the given shape ("0-d", "1-d" or
+    "broadcast", a (2, 1) column against a (3,) row and a scalar), with
+    value planted in one entry of coordinate axis."""
+    if shape == "0-d":
+        args = [3.0, -4.0, 1.5]
+        args[axis] = value
+        return args
+    if shape == "1-d":
+        args = [np.array([3.0, -4.0, 0.0]), np.array([1.0, 2.0, 5.0]),
+                np.array([1.5, 1.0, 0.0])]
+    else:
+        args = [np.array([[3.0], [-4.0]]), np.array([1.0, 2.0, 5.0]), 1.5]
+    args[axis] = np.array(args[axis], dtype=float)
+    args[axis].flat[-1] = value
+    return args
+
+
+class TestPositionsValidation:
+    SHAPES = ["0-d", "1-d", "broadcast"]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, shape, axis, value):
+        with pytest.raises(ValueError,
+                           match="^position coordinates must be finite$"):
+            positions(*position_args(shape, axis, value))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_negative_height_rejected(self, shape):
+        with pytest.raises(ValueError, match="^height z must be >= 0$"):
+            positions(*position_args(shape, 2, -1e-300))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_non_finite_named_before_negative_height(self, shape):
+        x, y, z = position_args(shape, 0, math.nan)
+        with pytest.raises(ValueError, match="finite"):
+            positions(x, y, -1.0)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_valid_points_kept(self, shape):
+        x, y, z = position_args(shape, 2, 0.0)
+        out = positions(x, y, z)
+        bx, by, bz = np.broadcast_arrays(x, y, z)
+        assert out.shape == bx.shape
+        for name, want in zip("xyz", (bx, by, bz)):
+            assert np.array_equal(out[name], want)
+
+
 def test_channel_params_invariants():
     with pytest.raises(ValueError):
         ChannelParams(reflection_coeff=1.5)

@@ -287,6 +287,62 @@ class TestAllocateSubcarriers:
             assert np.all(alloc >= 1)
 
 
+class TestAllocateSubcarriersAgainstReference:
+    """The split on Python ints and floats against the numpy form."""
+
+    def assert_same(self, sizes, n_subcarriers):
+        alloc = allocate_subcarriers(sizes, n_subcarriers)
+        ref = reference.allocate_subcarriers(sizes, n_subcarriers)
+        assert alloc.dtype == ref.dtype
+        assert np.array_equal(alloc, ref)
+        return alloc
+
+    def test_random(self):
+        rng = np.random.default_rng(43)
+        for _ in range(500):
+            m = int(rng.integers(1, 11))
+            sizes = rng.integers(1, int(rng.choice([3, 40, 5000])), size=m)
+            self.assert_same(sizes, int(rng.integers(m, 300)))
+
+    @pytest.mark.parametrize("sizes, n_subcarriers", [
+        ([1, 1, 1], 128),        # three equal remainders, two leftovers
+        ([2, 2, 1, 1], 9),       # equal remainders broken by size
+        ([3, 1, 1, 3], 10),      # equal remainders and equal sizes
+        ([5, 5], 3),             # one leftover between equal clusters
+        ([7, 15], 11),           # remainders of exactly 1/2
+        ([1, 1, 4], 10),         # remainders of 2/3, each rounded alike
+    ])
+    def test_remainder_ties(self, sizes, n_subcarriers):
+        self.assert_same(sizes, n_subcarriers)
+
+    @pytest.mark.parametrize("sizes, n_subcarriers", [
+        ([100, 1, 1], 3),
+        ([1, 60, 1, 1, 60], 6),
+        ([1000] + [1] * 9, 12),
+    ])
+    def test_quota_floors_to_zero(self, sizes, n_subcarriers):
+        # some quota floors to 0 and its remainder loses the tie-break,
+        # so the repair loop has to hand it a subcarrier
+        quota = n_subcarriers * np.asarray(sizes) / sum(sizes)
+        assert np.any(np.floor(quota) == 0)
+        alloc = self.assert_same(sizes, n_subcarriers)
+        assert alloc.min() == 1 and alloc.sum() == n_subcarriers
+
+    @pytest.mark.parametrize("sizes", [[1], [7], [1, 2, 3], [9, 1] * 5])
+    def test_one_subcarrier_per_cluster(self, sizes):
+        alloc = self.assert_same(sizes, len(sizes))
+        assert alloc.tolist() == [1] * len(sizes)
+
+    @pytest.mark.parametrize("sizes, n_subcarriers", [
+        ([], 4), ([2, 0], 4), ([3, -1], 4), ([1, 1, 1], 2)])
+    def test_same_refusals(self, sizes, n_subcarriers):
+        with pytest.raises(ValueError) as ours:
+            allocate_subcarriers(sizes, n_subcarriers)
+        with pytest.raises(ValueError) as ref:
+            reference.allocate_subcarriers(sizes, n_subcarriers)
+        assert str(ours.value) == str(ref.value)
+
+
 class TestGroupUsers:
     def test_singleton(self):
         plan = group_users(state_from_db([-80.0]), 128, k_max=10)

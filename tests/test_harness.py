@@ -6,8 +6,10 @@ import pytest
 
 from ambcsim.channel import ChannelParams
 from ambcsim.config import ConfigError, SimConfig
-from ambcsim.harness import (EeReport, derive_trial_seed, run_trial,
-                             sample_deployment, sweep, write_results)
+from ambcsim import harness
+from ambcsim.harness import (Aggregate, EeReport, TrialRecord,
+                             derive_trial_seed, run_trial, sample_deployment,
+                             sweep, write_results)
 from ambcsim.power import InfeasibleDemandError
 
 
@@ -182,6 +184,46 @@ class TestSweeps:
                    and r.mode == agg.mode]
             assert agg.n_trials == len(ees)
             assert agg.mean_ee == pytest.approx(np.mean(ees), rel=1e-9)
+
+
+def aggregate_by_filter(records):
+    """Aggregates with one filter pass over the records per key."""
+    out = []
+    for value, mode in sorted({(r.sweep_value, r.mode) for r in records}):
+        ees = np.array([r.ee for r in records
+                        if r.sweep_value == value and r.mode == mode])
+        n = ees.size
+        std = float(np.std(ees, ddof=1)) if n > 1 else 0.0
+        out.append(Aggregate(sweep_value=value, mode=mode,
+                             mean_ee=float(ees.mean()), std_ee=std,
+                             ci95_half=1.96 * std / math.sqrt(n),
+                             n_trials=n))
+    return out
+
+
+class TestAggregate:
+    def test_equals_per_key_filter_on_shuffled_records(self):
+        rng = np.random.default_rng(17)
+        records = [TrialRecord(sweep_value=value, trial=t, trial_seed=t,
+                               mode=mode, ee=float(ee), served=1, outage=0,
+                               k=1, f_statistic=math.nan)
+                   for value in (10, 55.0, 100, 20_000.0)
+                   for mode in ("triad", "baseline")
+                   for t, ee in enumerate(10.0 ** rng.uniform(
+                       5, 9, size=int(rng.integers(1, 30))))]
+        for _ in range(5):
+            rng.shuffle(records)
+            got = harness._aggregate(records)
+            want = aggregate_by_filter(records)
+            assert [dataclasses.astuple(a) for a in got] == [
+                dataclasses.astuple(a) for a in want]
+
+    def test_sweep_aggregates_equal_per_key_filter(self):
+        rep = sweep(small_config(n_trials=4), "n_ues", [12, 5])
+        assert rep.aggregates == aggregate_by_filter(rep.records)
+
+    def test_empty(self):
+        assert harness._aggregate([]) == []
 
 
 class TestWriteResults:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from ambcsim.power import (InfeasibleDemandError, RateDemand, compute_ee,
                            iterative_power_allocation, sinr_gamma)
 from sic_reference import (achieved_rates, closed_form_cluster_powers,
-                           max_admission, min_power_single, sic_order)
+                           gather_and_divide, max_admission, min_power_single,
+                           sic_order)
 
 
 def random_feasible_cluster(rng, max_size=6):
@@ -242,6 +243,51 @@ class TestAdmissionAgainstReference:
         assert sol.outage.all()
         assert np.all(sol.power == 0.0)
         assert sol.iterations == 1
+
+
+class TestScanAgainstGatherAndDivide:
+    """The scan keeps the quotients it tests as the powers; they must be
+    the bits that gathering and dividing again in numpy gives."""
+
+    BW = 1e5
+    NOISE = 10.0 ** ((-174.0 + 50.0 - 30.0) / 10.0)
+
+    def assert_same(self, gains, data_bits, p_max):
+        demand = RateDemand(data_bits)
+        gamma = sinr_gamma(demand.required_rate, self.BW)
+        sol = iterative_power_allocation(gains, demand, self.BW, self.NOISE,
+                                         p_max)
+        power, outage = gather_and_divide(gains, gamma, self.NOISE, p_max)
+        assert sol.power.dtype == power.dtype
+        assert sol.outage.dtype == outage.dtype
+        assert np.array_equal(sol.power, power)
+        assert np.array_equal(sol.outage, outage)
+        return sol
+
+    def test_random_clusters(self):
+        rng = np.random.default_rng(71)
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            gains = 10.0 ** rng.uniform(-13.0, -7.0, size=n)
+            if rng.random() < 0.3:  # equal gains: the index tie rule
+                gains[rng.integers(0, n, size=n // 2)] = gains[0]
+            self.assert_same(gains, float(rng.uniform(1e3, 1e6)),
+                             float(10.0 ** rng.uniform(-9.0, 0.0)))
+
+    def test_no_ue_admitted(self):
+        sol = self.assert_same([1e-10, 2e-10, 3e-10], 6e4, 1e-300)
+        assert sol.outage.all()
+
+    def test_every_ue_admitted(self):
+        sol = self.assert_same([1e-8] * 5 + [2e-8], 1e4, 1e3)
+        assert not sol.outage.any()
+
+    def test_rungs_overflow_to_inf(self):
+        # gamma = 2^59 - 1, so (1 + gamma)^r overflows from r = 18 on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = self.assert_same([1e-12] * 40, 59.0 * self.BW, 1e300)
+        assert 0 < (~sol.outage).sum() < 40
 
 
 class TestComputeEe:

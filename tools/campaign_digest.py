@@ -22,8 +22,10 @@ from pathlib import Path
 
 # Edge cases of the grouping DP: k_max = 1 (one layer), k_max = 2 (no
 # middle layer), n_subcarriers = 3 (k capped below k_max); a small cell
-# without tags, whose close gains put F's last digits at stake; the rest
-# cover the defaults, a binding power budget, dense tags and a large n.
+# without tags, whose close gains put F's last digits at stake; one UE
+# (a one-row UE x tag block, one cluster, a one-UE admission scan);
+# backscatter disabled in both modes; the rest cover the defaults, a
+# binding power budget, dense tags and a large n.
 CAMPAIGNS = [
     "--seed 5 --trials 5 sweep-users",
     "--seed 5 --trials 5 --set p_max=1e-06 sweep-data",
@@ -35,6 +37,8 @@ CAMPAIGNS = [
     "--seed 7 --trials 3 --set n_subcarriers=3 sweep-users",
     "--seed 2 --trials 10 --set n_tags=0 --set coverage_radius=20 "
     "sweep-users",
+    "--seed 3 --trials 3 --set n_ues=1 sweep-data",
+    "--seed 3 --trials 2 --set ambc_enabled=false sweep-users",
 ]
 FILES = ["trials.csv", "aggregates.csv", "config.snapshot.json"]
 
