@@ -8,8 +8,7 @@ from .clustering import (ClusterPlan, allocate_subcarriers, elbow_select_k,
 from .config import ConfigError, SimConfig, dbm_to_watts
 from .harness import (Deployment, EeReport, derive_trial_seed, run_trial,
                       sample_deployment, sweep, write_results)
-from .power import (EeBreakdown, InfeasibleDemandError, PowerSolution,
-                    RateDemand, compute_ee, iterative_power_allocation,
-                    sinr_gamma)
+from .power import (InfeasibleDemandError, PowerSolution, compute_ee,
+                    iterative_power_allocation, sinr_gamma)
 
 __version__ = "0.1.0"

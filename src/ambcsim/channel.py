@@ -99,13 +99,12 @@ def linear_to_db(lin):
 def a2g_path_loss(distance, angle, params: ChannelParams):
     """Mean air-to-ground path loss in dB; accepts scalars or arrays."""
     d = np.asarray(distance, dtype=float)
-    if (d <= 0.0).any():
+    if np.count_nonzero(d <= 0.0):
         raise ValueError("distance must be > 0")
     p_los = _los_probability(np.degrees(np.asarray(angle, dtype=float)),
                              params)
     fspl = 20.0 * np.log10(4.0 * np.pi * d * params.carrier_freq / SPEED_OF_LIGHT)
-    loss = fspl + p_los * params.eta_los + (1.0 - p_los) * params.eta_nlos
-    return float(loss) if np.isscalar(distance) else loss
+    return fspl + p_los * params.eta_los + (1.0 - p_los) * params.eta_nlos
 
 
 def _los_probability(theta_deg, params: ChannelParams):

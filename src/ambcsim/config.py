@@ -2,11 +2,12 @@
 
 import functools
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .channel import ChannelParams, a2g_path_loss
+from .channel import ChannelParams, a2g_path_loss, noise_power
 
 UE_HEIGHT = 1.5   # m, handset
 TAG_HEIGHT = 1.0  # m
@@ -100,6 +101,23 @@ class SimConfig:
                 raise ConfigError(f"{key} must be an integer >= 1")
         if self.n_tags < 0:
             raise ConfigError("n_tags must be an integer >= 0")
+        # A cluster's noise floor is noise_power over 1 to n_subcarriers
+        # subcarriers, and it grows with the width.  Below the smallest
+        # normal float, gamma times the noise can underflow to 0, and
+        # 0 times a power ladder rung (1 + gamma)^r that overflows is NaN.
+        psd = self.channel.noise_psd
+        subcarrier_bw = self.bandwidth / self.n_subcarriers
+        try:
+            lowest, _ = [noise_power(bw, psd) if bw > 0 else 0.0 for bw in
+                         (subcarrier_bw, self.n_subcarriers * subcarrier_bw)]
+        except OverflowError:
+            raise ConfigError("channel.noise_psd and bandwidth give a noise "
+                              "floor over the full band that overflows")
+        if not lowest >= sys.float_info.min:
+            raise ConfigError(f"channel.noise_psd, bandwidth and "
+                              f"n_subcarriers give a noise floor of "
+                              f"{lowest:.6g} W on one subcarrier, below "
+                              f"the smallest normal float")
         # The grouping DP holds 25 bytes per (n_ues + 1)^2 entry: two
         # float buffers, the cached divisor and the empty-run mask.  The
         # UE x tag block holds 17 bytes per pair: two floats and a mask.

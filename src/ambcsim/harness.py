@@ -19,8 +19,7 @@ import numpy as np
 from .channel import effective_gains, noise_power, positions
 from .clustering import ClusterPlan, group_users
 from .config import TAG_HEIGHT, UE_HEIGHT, SimConfig, dbm_to_watts
-from .power import (EeBreakdown, RateDemand, compute_ee,
-                    iterative_power_allocation)
+from .power import compute_ee, iterative_power_allocation, sinr_gamma
 
 MODE_TRIAD = "triad"
 MODE_BASELINE = "baseline"
@@ -44,14 +43,9 @@ class TrialModeResult:
 
     mode: str
     ee: float
-    served: int
-    outage: int
-    k: int
-    f_statistic: float
-    served_mask: np.ndarray
-    solutions: list
+    served_mask: np.ndarray    # bool per UE
+    solutions: list            # PowerSolution per cluster of plan
     plan: ClusterPlan
-    breakdown: EeBreakdown
 
 
 @dataclass
@@ -121,7 +115,7 @@ def evaluate_mode(config: SimConfig, deployment: Deployment, ambc_enabled,
     """Channel -> grouping -> per-cluster power allocation -> EE."""
     state = effective_gains(deployment, config.channel, ambc_enabled)
     plan = group_users(state, config.n_subcarriers, k_max=config.k_max)
-    demand = RateDemand(config.data_bits, config.frame_duration)
+    rate = config.data_bits / config.frame_duration
     subcarrier_bw = config.bandwidth / config.n_subcarriers
 
     served_mask = np.zeros(state.effective_gain.size, dtype=bool)
@@ -129,19 +123,15 @@ def evaluate_mode(config: SimConfig, deployment: Deployment, ambc_enabled,
     for c, subcarriers in enumerate(plan.subcarriers_per_cluster.tolist()):
         idx = (plan.assignment == c).nonzero()[0]
         bw = subcarriers * subcarrier_bw
-        noise = noise_power(bw, config.channel.noise_psd)
-        sol = iterative_power_allocation(state.effective_gain[idx], demand,
-                                         bw, noise, config.p_max)
+        sol = iterative_power_allocation(
+            state.effective_gain[idx], sinr_gamma(rate, bw),
+            noise_power(bw, config.channel.noise_psd), config.p_max)
         solutions.append(sol)
         served_mask[idx] = ~sol.outage  # the clusters partition the UEs
 
-    breakdown = compute_ee(solutions, demand,
-                           dbm_to_watts(config.circuit_power))
-    return TrialModeResult(
-        mode=mode, ee=breakdown.ee, served=breakdown.served_count,
-        outage=breakdown.outage_count, k=plan.k,
-        f_statistic=plan.f_statistic, served_mask=served_mask,
-        solutions=solutions, plan=plan, breakdown=breakdown)
+    ee = compute_ee(solutions, config.data_bits, config.frame_duration,
+                    dbm_to_watts(config.circuit_power))
+    return TrialModeResult(mode, ee, served_mask, solutions, plan)
 
 
 def run_trial(config: SimConfig, trial_seed):
@@ -189,10 +179,11 @@ def sweep(config: SimConfig, key, values) -> EeReport:
                 raise type(exc)(f"{exc} (at {key} sweep value {value:g}, "
                                 f"trial {t}, trial seed {ts})") from exc
             for r in (triad, baseline):
+                served = int(np.count_nonzero(r.served_mask))
                 records.append(TrialRecord(
                     sweep_value=value, trial=t, trial_seed=ts, mode=r.mode,
-                    ee=r.ee, served=r.served, outage=r.outage, k=r.k,
-                    f_statistic=r.f_statistic))
+                    ee=r.ee, served=served, outage=r.served_mask.size - served,
+                    k=r.plan.k, f_statistic=r.plan.f_statistic))
     return EeReport(records=records, aggregates=_aggregate(records))
 
 

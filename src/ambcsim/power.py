@@ -22,24 +22,6 @@ class InfeasibleDemandError(ValueError):
     """Rate demand exceeds the supported spectral-efficiency range."""
 
 
-@dataclass(frozen=True)
-class RateDemand:
-    """Per-UE traffic: fixed payload per frame."""
-
-    data_bits: float
-    frame_duration: float = 1.0  # seconds
-
-    def __post_init__(self):
-        if self.data_bits <= 0:
-            raise ValueError("data_bits must be > 0")
-        if self.frame_duration <= 0:
-            raise ValueError("frame_duration must be > 0")
-
-    @property
-    def required_rate(self) -> float:
-        return self.data_bits / self.frame_duration
-
-
 @dataclass
 class PowerSolution:
     """Per-cluster allocation outcome (arrays indexed like the input)."""
@@ -49,15 +31,6 @@ class PowerSolution:
     # Always 1: the scan solves the ladder once.  Kept because the
     # benchmark's power.fixed_point_sweeps_per_trial metric reads it.
     iterations: int
-
-
-@dataclass
-class EeBreakdown:
-    total_bits: float
-    total_energy: float        # joules
-    ee: float                  # bits/joule, 0 when nothing is served
-    served_count: int
-    outage_count: int
 
 
 def sinr_gamma(required_rate, cluster_bandwidth):
@@ -71,9 +44,9 @@ def sinr_gamma(required_rate, cluster_bandwidth):
     return 2.0 ** se - 1.0
 
 
-def iterative_power_allocation(cluster_gains, demand: RateDemand,
-                               cluster_bandwidth, noise, p_max):
-    """Minimum-power allocation for one cluster with admission control.
+def iterative_power_allocation(cluster_gains, gamma, noise, p_max):
+    """Minimum-power allocation for one cluster at SINR target gamma
+    (see sinr_gamma) and noise floor noise, with admission control.
 
     The UEs are scanned weakest first, and a UE is admitted iff it fits
     at the next free rank r: rungs[r] / g <= p_max.  A later
@@ -94,7 +67,6 @@ def iterative_power_allocation(cluster_gains, demand: RateDemand,
     if p_max <= 0:
         raise ValueError("p_max must be > 0")
 
-    gamma = sinr_gamma(demand.required_rate, cluster_bandwidth)
     # Weakest first: strongest first with ties by ascending index, reversed.
     order = (-gains).argsort(kind="stable")[::-1]
     with np.errstate(over="ignore"):
@@ -112,18 +84,16 @@ def iterative_power_allocation(cluster_gains, demand: RateDemand,
     return PowerSolution(np.array(power), np.array(outage), iterations=1)
 
 
-def compute_ee(solutions, demand: RateDemand, circuit_power):
-    """Bits-per-joule over one frame; outage UEs contribute nothing."""
-    served = outage = 0
+def compute_ee(solutions, data_bits, frame_duration, circuit_power):
+    """Bits per joule over one frame, 0 when nothing is served; outage
+    UEs contribute nothing."""
+    served = 0
     tx_power = 0.0
     for sol in solutions:
         served_mask = ~sol.outage
         served += int(np.count_nonzero(served_mask))
-        outage += int(np.count_nonzero(sol.outage))
         tx_power += float(np.add.reduce(sol.power[served_mask]))
-
-    total_bits = demand.data_bits * served
-    total_energy = demand.frame_duration * (tx_power + circuit_power * served)
-    ee = total_bits / total_energy if served > 0 else 0.0
-    return EeBreakdown(total_bits=total_bits, total_energy=total_energy,
-                       ee=ee, served_count=served, outage_count=outage)
+    if served == 0:
+        return 0.0
+    return data_bits * served / (frame_duration
+                                 * (tx_power + circuit_power * served))

@@ -21,7 +21,7 @@ from ambcsim.channel import (ChannelParams, ChannelState, linear_to_db,
 from ambcsim.clustering import group_users, kmeans
 from ambcsim.config import SimConfig, dbm_to_watts
 from ambcsim.harness import derive_trial_seed, run_trial, sweep, write_results
-from ambcsim.power import RateDemand, iterative_power_allocation, sinr_gamma
+from ambcsim.power import iterative_power_allocation, sinr_gamma
 from sic_reference import (achieved_rates, closed_form_cluster_powers,
                            sic_order)
 
@@ -182,14 +182,14 @@ class TestCriterion4PowerOracle:
             n = int(rng.integers(1, 7))
             gains = 10.0 ** rng.uniform(-10.5, -8.0, size=n)
             bw = float(rng.uniform(5e4, 5e5))
-            demand = RateDemand(float(rng.uniform(5e3, 6e4)), 1.0)
+            rate = float(rng.uniform(5e3, 6e4))
             noise = 10.0 ** ((-174.0 + 10 * math.log10(bw) - 30) / 10.0)
-            gamma = sinr_gamma(demand.required_rate, bw)
+            gamma = sinr_gamma(rate, bw)
             expected = closed_form_cluster_powers(gains, np.full(n, gamma),
                                                   noise)
             if np.any(expected > 0.2):
                 continue  # only feasible clusters are in scope
-            sol = iterative_power_allocation(gains, demand, bw, noise, 0.2)
+            sol = iterative_power_allocation(gains, gamma, noise, 0.2)
             assert not sol.outage.any()
             np.testing.assert_allclose(sol.power, expected, atol=1e-9)
             np.testing.assert_allclose(
@@ -285,15 +285,15 @@ class TestCriterion8CircuitPowerDominance:
         pc15 = dbm_to_watts(15.0)
         d_circuit, d_double = [], []
         for triad, _ in pairs:
-            bd = triad.breakdown
-            assert bd.served_count > 0
-            tx = bd.total_energy / cfg.frame_duration \
-                - pc5 * bd.served_count
-            bits = bd.total_bits
+            served = sum(int(np.count_nonzero(~sol.outage))
+                         for sol in triad.solutions)
+            assert served > 0
+            tx = sum(float(np.add.reduce(sol.power[~sol.outage]))
+                     for sol in triad.solutions)
 
             def ee(tx_power, pc):
-                return bits / (cfg.frame_duration
-                               * (tx_power + pc * bd.served_count))
+                return cfg.data_bits * served / (
+                    cfg.frame_duration * (tx_power + pc * served))
 
             d_circuit.append(ee(tx, pc5) - ee(tx, pc15))
             d_double.append(ee(tx, pc5) - ee(2.0 * tx, pc5))
@@ -318,8 +318,7 @@ class TestCriterion10FeasibilityInvariants:
         assert len(mode_results) == 2 * N_TRIALS * (
             1 + len(UE_COUNTS) + len(DATA_SIZES))
         for config, gains, result in mode_results:
-            required = RateDemand(config.data_bits,
-                                  config.frame_duration).required_rate
+            required = config.data_bits / config.frame_duration
             plan = result.plan
             for c, sol in enumerate(result.solutions):
                 bw = float(plan.subcarriers_per_cluster[c]) * (

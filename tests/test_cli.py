@@ -172,11 +172,22 @@ class TestRunCli:
         ("coverage_radius=1e200", "coverage_radius"),
         ("uav_altitude=1e300", "uav_altitude"),
         ("channel.carrier_freq=1e300", "channel.carrier_freq"),
+        ("data_bits=0", "data_bits"),
+        ("data_bits=-1", "data_bits"),
+        ("frame_duration=0", "frame_duration"),
+        # a noise floor that underflows to 0 W, where 0 times a power
+        # ladder rung that overflows is NaN, or that overflows itself
+        ("channel.noise_psd=-5000 n_ues=400 data_bits=4e6",
+         "channel.noise_psd"),
+        ("channel.noise_psd=5000", "channel.noise_psd"),
+        # about 1e-323 W on one subcarrier: positive, but any SINR target
+        # below 0.25 times it underflows to 0
+        ("channel.noise_psd=-3240", "channel.noise_psd"),
     ])
     def test_non_finite_or_impossible_value_exit_2(self, tmp_path, setting,
                                                    key):
-        code, _, err = run(["--out", str(tmp_path), "--set", setting,
-                            "single"])
+        sets = [arg for kv in setting.split() for arg in ("--set", kv)]
+        code, _, err = run(["--out", str(tmp_path), *sets, "single"])
         assert code == EXIT_CONFIG
         assert key in err
 

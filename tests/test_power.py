@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ambcsim.power import (InfeasibleDemandError, RateDemand, compute_ee,
+from ambcsim.power import (InfeasibleDemandError, compute_ee,
                            iterative_power_allocation, sinr_gamma)
 from sic_reference import (achieved_rates, closed_form_cluster_powers,
                            gather_and_divide, max_admission, min_power_single,
@@ -14,17 +14,18 @@ from sic_reference import (achieved_rates, closed_form_cluster_powers,
 
 
 def random_feasible_cluster(rng, max_size=6):
-    """Gains/demand for which all closed-form powers stay under 0.2 W."""
+    """Gains, SINR target and noise for which all closed-form powers stay
+    under 0.2 W."""
     while True:
         n = int(rng.integers(1, max_size + 1))
         gains = 10.0 ** rng.uniform(-10.5, -8.0, size=n)
         bw = float(rng.uniform(5e4, 5e5))
-        demand = RateDemand(float(rng.uniform(5e3, 6e4)), 1.0)
+        rate = float(rng.uniform(5e3, 6e4))
         noise = 10.0 ** ((-174.0 + 10 * math.log10(bw) - 30) / 10.0)
-        gamma = sinr_gamma(demand.required_rate, bw)
+        gamma = sinr_gamma(rate, bw)
         powers = closed_form_cluster_powers(gains, np.full(n, gamma), noise)
         if np.all(powers <= 0.2):
-            return gains, demand, bw, noise, powers
+            return gains, gamma, noise, powers
 
 
 class TestSinrGamma:
@@ -82,17 +83,14 @@ class TestSicOrder:
 
 class TestIterativePowerAllocation:
     def test_single_ue_served_at_closed_form(self):
-        demand = RateDemand(10_000.0)
-        bw, gain = 1e5, 1e-9
+        gamma, gain = sinr_gamma(10_000.0, 1e5), 1e-9
         noise = 10.0 ** ((-174.0 + 50 - 30) / 10.0)
-        sol = iterative_power_allocation([gain], demand, bw, noise, 0.2)
-        gamma = sinr_gamma(demand.required_rate, bw)
+        sol = iterative_power_allocation([gain], gamma, noise, 0.2)
         assert not sol.outage[0]
         assert sol.power[0] == pytest.approx(gamma * noise / gain, abs=1e-15)
 
     def test_single_infeasible_ue_in_outage(self):
-        demand = RateDemand(60_000.0)
-        sol = iterative_power_allocation([1e-16], demand, 1e5,
+        sol = iterative_power_allocation([1e-16], sinr_gamma(60_000.0, 1e5),
                                          3.98e-16, 0.2)
         assert sol.outage[0]
         assert sol.power[0] == 0.0
@@ -100,8 +98,8 @@ class TestIterativePowerAllocation:
     def test_matches_closed_form_oracle(self):
         rng = np.random.default_rng(61)
         for _ in range(100):
-            gains, demand, bw, noise, expected = random_feasible_cluster(rng)
-            sol = iterative_power_allocation(gains, demand, bw, noise, 0.2)
+            gains, gamma, noise, expected = random_feasible_cluster(rng)
+            sol = iterative_power_allocation(gains, gamma, noise, 0.2)
             assert not sol.outage.any()
             np.testing.assert_allclose(sol.power, expected, atol=1e-9)
 
@@ -110,28 +108,28 @@ class TestIterativePowerAllocation:
         for _ in range(50):
             n = int(rng.integers(1, 8))
             gains = 10.0 ** rng.uniform(-12.0, -8.0, size=n)
-            demand = RateDemand(float(rng.uniform(1e4, 1.5e5)))
+            rate = float(rng.uniform(1e4, 1.5e5))
             bw = float(rng.uniform(2e4, 5e5))
             noise = 10.0 ** ((-174.0 + 10 * math.log10(bw) - 30) / 10.0)
-            sol = iterative_power_allocation(gains, demand, bw, noise, 0.2)
+            sol = iterative_power_allocation(gains, sinr_gamma(rate, bw),
+                                             noise, 0.2)
             served = ~sol.outage
             rates = achieved_rates(sol.power, gains, bw, noise)
             assert np.all(sol.power[served] <= 0.2 + 1e-15)
             assert np.all(sol.power[sol.outage] == 0.0)
-            assert np.all(rates[served]
-                          >= demand.required_rate * (1 - 1e-6))
+            assert np.all(rates[served] >= rate * (1 - 1e-6))
 
     def test_gain_scaling_reduces_power(self):
         rng = np.random.default_rng(63)
-        gains, demand, bw, noise, _ = random_feasible_cluster(rng)
-        lo = iterative_power_allocation(gains, demand, bw, noise, 0.2)
-        hi = iterative_power_allocation(gains * 2.0, demand, bw, noise, 0.2)
+        gains, gamma, noise, _ = random_feasible_cluster(rng)
+        lo = iterative_power_allocation(gains, gamma, noise, 0.2)
+        hi = iterative_power_allocation(gains * 2.0, gamma, noise, 0.2)
         assert not lo.outage.any() and not hi.outage.any()
         assert np.all(hi.power <= lo.power)
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
-            iterative_power_allocation([], RateDemand(1e4), 1e5, 1e-15, 0.2)
+            iterative_power_allocation([], 0.1, 1e-15, 0.2)
 
 
 def reference_admission(gains, gamma, noise, p_max):
@@ -170,8 +168,7 @@ class TestAdmissionAgainstReference:
            data=st.data())
     def test_serves_the_most_ues(self, exponents, spectral_eff, data):
         gains = [10.0 ** e for e in exponents]
-        demand = RateDemand(spectral_eff * self.BW)
-        gamma = sinr_gamma(demand.required_rate, self.BW)
+        gamma = sinr_gamma(spectral_eff * self.BW, self.BW)
         # Every power any served set can need is gamma N (1 + gamma)^r / g
         # for some rank r and gain g.  p_max sits between two such values,
         # or below or above all of them, so no power ties with p_max and
@@ -187,8 +184,7 @@ class TestAdmissionAgainstReference:
             assume(levels[j] > levels[j - 1] * (1.0 + 1e-9))
             p_max = math.sqrt(levels[j - 1] * levels[j])
 
-        sol = iterative_power_allocation(gains, demand, self.BW, self.NOISE,
-                                         p_max)
+        sol = iterative_power_allocation(gains, gamma, self.NOISE, p_max)
         power, outage = max_admission(gains, gamma, self.NOISE, p_max)
         np.testing.assert_array_equal(sol.outage, outage)
         np.testing.assert_allclose(sol.power, power, rtol=1e-12, atol=0.0)
@@ -207,10 +203,8 @@ class TestAdmissionAgainstReference:
         # over p_max = 0.75 N / g_weak.  The weaker UE fits at no rank;
         # the stronger fits alone (N / (2 g_weak)).  In the second case
         # reference_admission drops index 0 on the tie and serves no UE.
-        demand = RateDemand(self.BW)
         p_max = 0.75 * self.NOISE / 1e-10
-        sol = iterative_power_allocation(gains, demand, self.BW,
-                                         self.NOISE, p_max)
+        sol = iterative_power_allocation(gains, 1.0, self.NOISE, p_max)
         assert sol.outage.tolist() == outage
         assert sol.iterations == 1
 
@@ -224,22 +218,19 @@ class TestAdmissionAgainstReference:
     def test_ties_among_largest_sets_go_to_the_weaker_ue(
             self, gains, p_max_in_n_over_g, outage):
         # gamma = 1; the weaker UE, and among equal gains the higher index.
-        demand = RateDemand(self.BW)
         p_max = p_max_in_n_over_g * self.NOISE / 1e-10
-        sol = iterative_power_allocation(gains, demand, self.BW,
-                                         self.NOISE, p_max)
+        sol = iterative_power_allocation(gains, 1.0, self.NOISE, p_max)
         assert sol.outage.tolist() == outage
         power, oracle_outage = max_admission(gains, 1.0, self.NOISE, p_max)
         assert oracle_outage.tolist() == outage
         np.testing.assert_allclose(sol.power, power, rtol=1e-12, atol=0.0)
 
     def test_overflowing_power_is_dropped_silently(self):
-        demand = RateDemand(59.0 * self.BW)  # gamma = 2^59 - 1
+        gamma = sinr_gamma(59.0 * self.BW, self.BW)  # 2^59 - 1
         gains = [1e-12] * 40                 # (1 + gamma)^39 overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sol = iterative_power_allocation(gains, demand, self.BW,
-                                             self.NOISE, 0.2)
+            sol = iterative_power_allocation(gains, gamma, self.NOISE, 0.2)
         assert sol.outage.all()
         assert np.all(sol.power == 0.0)
         assert sol.iterations == 1
@@ -253,10 +244,8 @@ class TestScanAgainstGatherAndDivide:
     NOISE = 10.0 ** ((-174.0 + 50.0 - 30.0) / 10.0)
 
     def assert_same(self, gains, data_bits, p_max):
-        demand = RateDemand(data_bits)
-        gamma = sinr_gamma(demand.required_rate, self.BW)
-        sol = iterative_power_allocation(gains, demand, self.BW, self.NOISE,
-                                         p_max)
+        gamma = sinr_gamma(data_bits, self.BW)
+        sol = iterative_power_allocation(gains, gamma, self.NOISE, p_max)
         power, outage = gather_and_divide(gains, gamma, self.NOISE, p_max)
         assert sol.power.dtype == power.dtype
         assert sol.outage.dtype == outage.dtype
@@ -300,37 +289,21 @@ class TestComputeEe:
                      "outage": outage})()
 
     def test_single_served_ue(self):
-        demand = RateDemand(60_000.0, 1.0)
         sol = self._solution([0.01 - 3.162e-3])
-        bd = compute_ee([sol], demand, 3.162e-3)
-        assert bd.ee == pytest.approx(6.0e6, rel=1e-3)
+        ee = compute_ee([sol], 60_000.0, 1.0, 3.162e-3)
+        assert ee == pytest.approx(6.0e6, rel=1e-3)
 
     def test_no_served_ues(self):
-        demand = RateDemand(60_000.0, 1.0)
         sol = self._solution([0.0], outage=[True])
-        bd = compute_ee([sol], demand, 3.162e-3)
-        assert bd.ee == 0.0
-        assert bd.total_energy == 0.0
-        assert bd.served_count == 0
+        assert compute_ee([sol], 60_000.0, 1.0, 3.162e-3) == 0.0
 
     def test_two_served_with_circuit_power(self):
-        demand = RateDemand(60_000.0, 1.0)
         sol = self._solution([1e-6, 2e-6])
-        bd = compute_ee([sol], demand, 3.162e-3)
-        assert bd.ee == pytest.approx(1.897e7, rel=1e-3)
+        ee = compute_ee([sol], 60_000.0, 1.0, 3.162e-3)
+        assert ee == pytest.approx(1.897e7, rel=1e-3)
 
     def test_circuit_power_monotonicity(self):
-        demand = RateDemand(60_000.0, 1.0)
         sol = self._solution([1e-6, 2e-6, 5e-7])
-        ees = [compute_ee([sol], demand, pc).ee
+        ees = [compute_ee([sol], 60_000.0, 1.0, pc)
                for pc in (1e-3, 3e-3, 1e-2, 3e-2)]
         assert all(a > b for a, b in zip(ees, ees[1:]))
-
-
-def test_rate_demand_invariants():
-    with pytest.raises(ValueError):
-        RateDemand(0.0)
-    with pytest.raises(ValueError):
-        RateDemand(1e4, 0.0)
-    d = RateDemand(60_000.0, 0.5)
-    assert d.required_rate == pytest.approx(120_000.0, rel=1e-12)
