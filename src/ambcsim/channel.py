@@ -12,15 +12,16 @@ deterministic: it evaluates the mean path loss, no fading is drawn.
 A backscatter tag contributes the cascaded two-hop gain
 beta * g(ue -> tag) * g(tag -> uav).  Only the best tag per UE is kept
 and its gain is power-summed with the direct path (non-coherent
-combining).  A bound in the linear domain, from squared horizontal
-distances and each tag's exact hop-2 gain, rules out nearly every UE-tag
-pair; the exact cascaded gain is evaluated only on the pairs it keeps
-(see _best_tags).
+combining).  A bound in the linear domain, h = (s + z_hi^2) / g2 from
+each pair's squared horizontal distance s and the tag's exact hop-2
+gain g2, rules out nearly every UE-tag pair.  One 4-term matmul builds h
+for the whole UE x tag block; its rounding error is bounded and allowed
+for, and the exact cascaded gain is evaluated only on the pairs the
+bound keeps, so the matmul's bits never reach a result (see _best_tags).
 """
 
 import functools
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -33,6 +34,9 @@ FAR_TAN = 0.05
 # Relative slack of the best-tag bound test, far above the rounding error
 # of the exact path (about 1e-13 relative).
 BOUND_SLACK = 1e-9
+# gamma_10 = 10 u / (1 - 10 u), u the unit roundoff of float64: the
+# relative error bound of a result rounded at most 10 times
+_GAMMA_10 = 10 * 2.0 ** -53 / (1.0 - 10 * 2.0 ** -53)
 
 # Points in cell coordinates; z is height above ground in meters.  The
 # element type is np.record, so one point reads as p.x, p.y, p.z, and a
@@ -80,6 +84,18 @@ class ChannelParams:
         if not self.eta_nlos >= self.eta_los >= 0.0:
             raise ValueError("require eta_nlos >= eta_los >= 0")
 
+    @functools.cached_property
+    def far_ratio(self) -> float:
+        """Bound on how far a far pair's gain can exceed its lower bound
+        1 / h, h = (s + z_hi^2) / g2, relative to any pair's (see
+        _best_tags)."""
+        p0, p_far, p90 = _los_probability(
+            np.array([0.0, math.degrees(math.atan(FAR_TAN)), 90.0]), self)
+        # largest LoS factor of a far pair over the smallest of any pair
+        los = 10.0 ** ((self.eta_nlos - self.eta_los)
+                       * (max(p0, p_far) - min(p0, p90)) / 10.0)
+        return los * (1.0 + FAR_TAN * FAR_TAN)
+
 
 @dataclass
 class ChannelState:
@@ -116,9 +132,11 @@ def _los_probability(theta_deg, params: ChannelParams):
     # a exp(b (a - theta)) overflows, meaning P_LoS = 0, only where
     # log(a) + b (a - theta) passes about 709; errstate (about 2 us a
     # call) is entered only if that can happen
-    can_overflow = math.log(a) + a * b + 90.0 * abs(b) > 700.0
-    with np.errstate(over="ignore") if can_overflow else nullcontext():
-        return 1.0 / (1.0 + a * np.exp(-b * (theta_deg - a)))
+    exponent = -b * (theta_deg - a)
+    if math.log(a) + a * b + 90.0 * abs(b) > 700.0:
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + a * np.exp(exponent))
+    return 1.0 / (1.0 + a * np.exp(exponent))
 
 
 def noise_power(bandwidth: float, noise_psd: float) -> float:
@@ -132,7 +150,7 @@ def _link_gain(dx, dy, dz, params: ChannelParams):
     """Linear gain of links with coordinate offsets (dx, dy, dz)."""
     horiz = np.hypot(dx, dy)
     loss = a2g_path_loss(np.hypot(horiz, dz), np.arctan2(dz, horiz), params)
-    return 10.0 ** (-loss / 10.0)
+    return 10.0 ** (loss / -10.0)
 
 
 def effective_gains(deployment, params: ChannelParams,
@@ -173,18 +191,6 @@ def effective_gains(deployment, params: ChannelParams,
     return ChannelState(direct, backscatter, direct + backscatter, best)
 
 
-@functools.lru_cache(maxsize=8)
-def _far_ratio(params: ChannelParams) -> float:
-    """Bound on how far a far pair's gain can exceed its lower bound
-    g2 / (s + z_hi^2), relative to any pair's (see _best_tags)."""
-    p0, p_far, p90 = _los_probability(
-        np.array([0.0, math.degrees(math.atan(FAR_TAN)), 90.0]), params)
-    # largest LoS factor of a far pair over the smallest of any pair
-    los = 10.0 ** ((params.eta_nlos - params.eta_los)
-                   * (max(p0, p_far) - min(p0, p90)) / 10.0)
-    return los * (1.0 + FAR_TAN * FAR_TAN)
-
-
 def _best_tags(xyz, g2, params: ChannelParams):
     """(best tag index, its cascaded gain) of every UE, given the
     coordinate rows xyz of the UEs then the tags and the exact hop-2 gain
@@ -195,37 +201,75 @@ def _best_tags(xyz, g2, params: ChannelParams):
     the squared horizontal distance and z_hi a bound on the UE-tag height
     gaps, so d^2 lies in [s, s + z_hi^2].  P_LoS is monotone in the
     elevation, which lies in [0, 90 deg], and in [0, atan(FAR_TAN)] for
-    a far pair, one with s > (z_hi / FAR_TAN)^2; a far pair also has
+    a far pair, one with s > R^2, R = z_hi / FAR_TAN; a far pair also has
     s + z_hi^2 < (1 + FAR_TAN^2) s.  So, up to a factor common to all
-    pairs, every pair's gain is at least q = g2 / (s + z_hi^2) and a far
-    pair's at most _far_ratio q.  A far pair whose upper bound falls
-    short of its UE's largest lower bound, less BOUND_SLACK for rounding,
-    cannot win; every other pair gets the exact formula.  This holds
-    wherever the winning exact gain is 0 or above about 5e-315; below
-    that, subnormal rounding could make a ruled-out pair tie the winner.
+    pairs, every pair's gain is at least 1 / h, h = (s + z_hi^2) / g2,
+    and a far pair's at most params.far_ratio / h.  A far pair whose h
+    exceeds far_ratio times its UE's least h, by more than BOUND_SLACK
+    for the rounding of the exact path, cannot win; every other pair gets
+    the exact formula.
+
+    One (n, 4) @ (4, m) matmul gives k = -h / 2 of every pair, as the dot
+    product of the UE row [u_x, u_y, -1/2, |u|^2] and the tag row
+    [t_x, t_y, |t|^2 + z_hi^2, -1/2] / g2.  Each of its four terms is
+    rounded at most 7 times, in the entries, the product and the sums in
+    any order, so the computed k is within gamma_7 times the terms'
+    magnitudes, ((|u| + |t|)^2 + z_hi^2) / 2 g2, of k (Higham, Accuracy
+    and Stability of Numerical Algorithms, 3.1).  With rho^2 = max x^2 +
+    max y^2 over the block and |k| >= z_hi^2 / 2 g2, that is a relative
+    error of at most delta = gamma_10 (4 rho^2 + z_hi^2) / z_hi^2, the
+    spare roundings covering delta's own.  So a pair is kept if its
+    computed k is at least -(R^2 + z_hi^2) / 2 g2 (1 + BOUND_SLACK)
+    (1 + delta), which every near pair meets, or at least far_ratio
+    (1 + BOUND_SLACK)(1 + delta) / (1 - delta) times its UE's largest
+    computed k.  Where delta is not below 1, or an entry or sum of the
+    matmul could overflow (z_hi = 0, x^2 overflowing, a hop-2 gain of 0
+    or one whose reciprocal overflows), every pair gets the exact formula.
+
+    This holds wherever the winning exact gain is 0 or above about
+    5e-315, below which subnormal rounding could make a ruled-out pair
+    tie the winner, and wherever no product in the matmul underflows,
+    which takes a nonzero coordinate below about 1e-154 m or a hop-2 gain
+    above about 1e150.
     """
     m = g2.size
     n = xyz.shape[1] - m
-    z_hi = np.maximum.reduce(xyz[2]) - np.minimum.reduce(xyz[2])
-    # one (2, n, m) block: dx^2 and dy^2, then s and q, then the cascaded
-    # gains in place of s; fresh blocks would page-fault on every call
-    buf = np.empty((2, n, m))
-    s, q = buf
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        np.subtract(xyz[:2, :n, None], xyz[:2, None, n:], out=buf)
-        buf *= buf
-        s += q
-        keep = s <= (z_hi / FAR_TAN) ** 2         # near pairs
-        np.add(s, z_hi * z_hi, out=q)
-        np.divide(g2, q, out=q)
-        floor = q.max(axis=1) * ((1.0 - BOUND_SLACK) / _far_ratio(params))
-        keep |= q >= floor[:, None]
+    (x_hi, y_hi, z_hi), (x_lo, y_lo, z_lo) = (
+        np.maximum.reduce(xyz, axis=1).tolist(),
+        np.minimum.reduce(xyz, axis=1).tolist())
+    x_abs, y_abs = max(x_hi, -x_lo), max(y_hi, -y_lo)
+    z2 = (z_hi - z_lo) * (z_hi - z_lo)
+    # bounds (|u| + |t|)^2 + z_hi^2, and 1 + |every entry| of the matmul
+    big = 4.0 * (x_abs * x_abs + y_abs * y_abs) + z2
+    g_lo = float(np.minimum.reduce(g2))
+    delta = _GAMMA_10 * big / z2 if z2 > 0.0 else math.inf
+    if delta < 1.0 and g_lo > 0.0 and 2.0 * (big + 1.0) / g_lo < math.inf:
+        # k = -h / 2: the UE rows x, y, -1/2, |u|^2 by the tag rows
+        # x, y, |t|^2 + z_hi^2, -1/2 over g2
+        w = np.empty((4, n + m))
+        w[:2] = xyz[:2]
+        np.multiply(w[:2], w[:2], out=w[2:])
+        np.add(w[2], w[3], out=w[3])
+        w[2, :n] = -0.5
+        np.add(w[3, n:], z2, out=w[2, n:])
+        w[3, n:] = -0.5
+        t = w[:, n:]
+        t /= g2
+        k = w[:, :n].T @ t
+        tol = (1.0 + BOUND_SLACK) * (1.0 + delta)
+        keep = k >= t[3] * (z2 * (1.0 + FAR_TAN ** -2) * tol)
+        far = np.maximum.reduce(k, axis=1)
+        far *= params.far_ratio * tol / (1.0 - delta)
+        keep |= k >= far[:, None]
+    else:
+        k = np.empty((n, m))
+        keep = np.ones((n, m), dtype=bool)
     # flat indices beat 2-d ones (nonzero by ~10x on large blocks)
     flat = keep.ravel().nonzero()[0]
     i, j = np.unravel_index(flat, keep.shape)
     dx, dy, dz = xyz.take(i, axis=1) - xyz[:, n:].take(j, axis=1)
     g1 = _link_gain(dx, dy, np.abs(dz), params)
-    cascaded = buf[0]
+    cascaded = k
     cascaded.fill(0.0)
     cascaded.put(flat, params.reflection_coeff * g1 * g2.take(j))
     best = cascaded.argmax(axis=1)  # ties -> lowest index

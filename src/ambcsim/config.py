@@ -12,7 +12,7 @@ from .channel import ChannelParams, a2g_path_loss, noise_power
 UE_HEIGHT = 1.5   # m, handset
 TAG_HEIGHT = 1.0  # m
 # Bytes that the grouping DP, or the channel's UE x tag block, may take.
-# 4 GiB admits n_ues <= 13106, and n_ues * n_tags <= 252645135.
+# 4 GiB admits n_ues <= 13106, and n_ues * n_tags <= 429496729.
 MEMORY_BUDGET = 1 << 32
 
 
@@ -120,10 +120,12 @@ class SimConfig:
                               f"the smallest normal float")
         # The grouping DP holds 25 bytes per (n_ues + 1)^2 entry: two
         # float buffers, the cached divisor and the empty-run mask.  The
-        # UE x tag block holds 17 bytes per pair: two floats and a mask.
+        # UE x tag block holds 10 bytes per pair at its peak: the float
+        # bound, the keep mask and the far-pair compare before it joins
+        # the mask.
         for keys, size in [("n_ues", 25 * (self.n_ues + 1) ** 2),
                            ("n_ues and n_tags",
-                            17 * self.n_ues * self.n_tags)]:
+                            10 * self.n_ues * self.n_tags)]:
             if size > MEMORY_BUDGET:
                 raise ConfigError(f"{keys} would need {size} bytes, over "
                                   f"the {MEMORY_BUDGET}-byte memory budget")

@@ -11,6 +11,7 @@ otherwise it is in outage.  The scan serves the largest number of UEs
 any feasible set can serve.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +70,17 @@ def iterative_power_allocation(cluster_gains, gamma, noise, p_max):
 
     # Weakest first: strongest first with ties by ascending index, reversed.
     order = (-gains).argsort(kind="stable")[::-1]
-    with np.errstate(over="ignore"):
-        # Received power at served rank r = 0, 1, ... (0 = weakest).
-        rungs = gamma * noise * (1.0 + gamma) ** np.arange(n)
+    # Received power at served rank r = 0, 1, ... (0 = weakest).  The
+    # power (1 + gamma)^r, then gamma noise times it, overflows only where
+    # (n - 1) log2(1 + gamma) + max(log2(gamma noise), 0) reaches 1024;
+    # errstate (about 2 us a call) is entered only past 1023
+    gn = gamma * noise
+    top = (n - 1) * math.log2(1.0 + gamma) + math.log2(max(gn, 1.0))
+    if top > 1023.0:
+        with np.errstate(over="ignore"):
+            rungs = gn * (1.0 + gamma) ** np.arange(n)
+    else:
+        rungs = gn * (1.0 + gamma) ** np.arange(n)
     # Python floats divide with numpy's IEEE rounding; p is the power
     rung = rungs.tolist()
     power, outage = [0.0] * n, [True] * n

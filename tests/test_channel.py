@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -396,6 +397,77 @@ class TestScreenedBestTag:
         state = assert_matches_full_block(
             Deployment(ues, mixed, uav_at(0, 0, 100)), ChannelParams())
         assert np.array_equal(state.best_tag_index, [1, 1])
+        assert np.all(state.backscatter_gain > 0)
+
+    @pytest.mark.parametrize("x0", [47500.0, 48500.0, 49000.0])
+    def test_far_edge_tie_in_a_wide_cell(self, x0):
+        # as in test_level_tag_traded_against_raised_tag, about 5e4 m from
+        # the cell centre with z_hi = 0.5 m: tag 0, level with the UE just
+        # past the near radius, beats tag 1, raised 0.5 m, by 1e-9 dB.
+        # Tag 0's bound then sits within about 2.3e-10 of the far edge,
+        # while the expanded form |u|^2 - 2 u.t + |t|^2 + z_hi^2 of its
+        # s + z_hi^2 is off by more than 1e-9, past BOUND_SLACK
+        ue, uav = Position(x0, 0.0, 1.5), Position(0.0, 0.0, 100.0)
+        params = ChannelParams(eta_los=6.0, eta_nlos=6.0)
+        tag0 = Position(x0 + 0.5 / FAR_TAN * (1.0 + 1e-9), 0.0, 1.5)
+
+        def gap(x):
+            return 10.0 * math.log10(
+                cascaded_backscatter_gain(ue, tag0, uav, params)
+                / cascaded_backscatter_gain(ue, Position(x0 - x, 0.0, 2.0),
+                                            uav, params)) - 1e-9
+
+        lo, hi = 5.0, 20.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if gap(mid) < 0 else (lo, mid)
+        assert gap(hi) == pytest.approx(0.0, abs=1e-11)
+        expanded = (ue.x * ue.x - 2.0 * (ue.x * tag0.x) + tag0.x * tag0.x
+                    + 0.25)
+        exact = (Fraction(ue.x) - Fraction(tag0.x)) ** 2 + Fraction(0.25)
+        assert abs(Fraction(expanded) / exact - 1) > 1e-9
+        dep = Deployment(positions([x0], [0.0], 1.5),
+                         positions([tag0.x, x0 - hi], [0.0, 0.0], [1.5, 2.0]),
+                         uav_at(0, 0, 100))
+        state = assert_matches_full_block(dep, params)
+        assert np.array_equal(state.best_tag_index, [0])
+
+    def test_ues_and_tags_at_one_height(self, monkeypatch):
+        # z_hi = 0 leaves no lower bound on h, so every pair gets the
+        # exact formula
+        sizes = []
+
+        def recording(distance, angle, params):
+            sizes.append(np.size(distance))
+            return a2g_path_loss(distance, angle, params)
+
+        monkeypatch.setattr("ambcsim.channel.a2g_path_loss", recording)
+        rng = np.random.default_rng(31)
+        dep = Deployment(random_points(rng, 13, 300, 1.0),
+                         random_points(rng, 40, 300, 1.0), uav_at(0, 0, 100))
+        state = assert_matches_full_block(dep,
+                                          ChannelParams(reflection_coeff=0.3))
+        assert sizes[1] == 13 * 40
+        assert np.all(state.backscatter_gain > 0)
+
+    @pytest.mark.parametrize("eta_nlos", [3000.0, 3150.0],
+                             ids=["subnormal", "zero"])
+    def test_hop2_gain_without_finite_reciprocal(self, eta_nlos):
+        # tag 1's hop 2 runs 1e6 m along the ground, so its gain is
+        # subnormal or 0 and 1 / g2 overflows; tags 0 and 2 sit by the
+        # UEs, nearly below them, and win
+        params = ChannelParams(eta_los=0.0, eta_nlos=eta_nlos)
+        uav = Position(0.0, 0.0, 100.0)
+        far = Position(1e6, 0.0, 1.0)
+        horiz, dz = math.hypot(far.x, far.y), uav.z - far.z
+        g2 = 10.0 ** (-a2g_path_loss(math.hypot(horiz, dz),
+                                     math.atan2(dz, horiz), params) / 10.0)
+        assert g2 < np.finfo(float).tiny
+        dep = Deployment(positions([0.0, 50.0], [0.0, 20.0], 1.5),
+                         positions([0.1, far.x, 50.1], [0.0, 0.0, 20.0], 1.0),
+                         uav_at(0, 0, 100))
+        state = assert_matches_full_block(dep, params)
+        assert np.array_equal(state.best_tag_index, [0, 2])
         assert np.all(state.backscatter_gain > 0)
 
     def test_mixed_heights_match_full_block(self):

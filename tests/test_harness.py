@@ -290,8 +290,9 @@ class TestValidationOnEveryPath:
     @pytest.mark.parametrize("n_ues, n_tags, keys", [
         (13_107, 0, "n_ues"),
         (10 ** 12, 10, "n_ues"),
-        (1, 252_645_136, "n_ues and n_tags"),
-        (100, 2_526_452, "n_ues and n_tags"),
+        (1, 429_496_730, "n_ues and n_tags"),
+        (100, 4_294_968, "n_ues and n_tags"),
+        (19, 22_605_092, "n_ues and n_tags"),
     ])
     def test_over_memory_budget_rejected(self, n_ues, n_tags, keys):
         # built, never run: the check must not allocate what it bounds
@@ -300,8 +301,11 @@ class TestValidationOnEveryPath:
 
     def test_largest_within_memory_budget_accepted(self):
         SimConfig(n_ues=13_106, n_tags=0)
-        SimConfig(n_ues=1, n_tags=252_645_135)
-        SimConfig(n_ues=100, n_tags=2_526_451)
+        SimConfig(n_ues=1, n_tags=429_496_729)
+        SimConfig(n_ues=100, n_tags=4_294_967)
+        # the UE x tag block takes 10 bytes a pair, and 19 * 22605091 is
+        # the whole of 2^32 // 10
+        SimConfig(n_ues=19, n_tags=22_605_091)
 
     def test_replace_revalidates(self):
         with pytest.raises(ConfigError, match="n_ues"):

@@ -279,6 +279,36 @@ class TestScanAgainstGatherAndDivide:
         assert 0 < (~sol.outage).sum() < 40
 
 
+class TestLadderOverflowGate:
+    """iterative_power_allocation enters errstate only where
+    (n - 1) log2(1 + gamma) + max(log2(gamma noise), 0) passes 1023.
+    With gamma = 1 every rung is noise 2^r exactly, so that sum sits
+    either side of the bound as the cluster grows by one UE."""
+
+    @pytest.mark.parametrize("n, noise, served", [
+        (1024, 1.0, 901),          # sum 1023: 2^1023 is finite
+        (1024, 0.5, 902),          # sum 1023: 2^1023 / 2
+        (1025, 1.0, 901),          # sum 1024: 2^1024 overflows the power
+        (1024, 2.0, 900),          # sum 1024: 2 * 2^1023 overflows
+        (1025, 2.0 ** -60, 961),   # the power overflows, gamma noise < 1
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_no_warning_either_side_of_the_bound(self, n, noise, served):
+        sol = iterative_power_allocation(np.ones(n), 1.0, noise, 2.0 ** 900)
+        assert np.count_nonzero(~sol.outage) == served
+        rungs = noise * 2.0 ** np.arange(served)
+        np.testing.assert_array_equal(np.sort(sol.power[~sol.outage]), rungs)
+        assert np.all(sol.power[sol.outage] == 0.0)
+
+    @pytest.mark.parametrize("gamma, noise", [(1.0, 0.0), (0.0, 1e-15)])
+    @pytest.mark.filterwarnings("error")
+    def test_zero_gamma_times_noise(self, gamma, noise):
+        sol = iterative_power_allocation([1e-9, 2e-9, 3e-9], gamma, noise,
+                                         0.2)
+        assert not sol.outage.any()
+        assert np.all(sol.power == 0.0)
+
+
 class TestComputeEe:
     def _solution(self, powers, outage=None):
         powers = np.asarray(powers, dtype=float)
