@@ -176,8 +176,8 @@ def effective_gains(deployment, params: ChannelParams,
     if ambc_enabled and tags.size and params.reflection_coeff > 0.0:
         # contiguous coordinate rows x, y, z: the UEs, then the tags
         xyz = np.empty((3, n + tags.size))
-        xyz[:, :n] = ues.view(float).reshape(n, 3).T
-        xyz[:, n:] = tags.view(float).reshape(-1, 3).T
+        xyz.T[:n] = np.frombuffer(ues).reshape(n, 3)
+        xyz.T[n:] = np.frombuffer(tags).reshape(-1, 3)
         # the UEs' direct paths and the tags' hop 2 in one pass
         dz = az - xyz[2]
         np.abs(dz[n:], out=dz[n:])
