@@ -37,6 +37,8 @@ BOUND_SLACK = 1e-9
 # gamma_10 = 10 u / (1 - 10 u), u the unit roundoff of float64: the
 # relative error bound of a result rounded at most 10 times
 _GAMMA_10 = 10 * 2.0 ** -53 / (1.0 - 10 * 2.0 ** -53)
+# Largest rounding allowance delta of the best-tag bound (see _best_tags)
+DELTA_MAX = 1e-6
 
 # Points in cell coordinates; z is height above ground in meters.  The
 # element type is np.record, so one point reads as p.x, p.y, p.z, and a
@@ -222,9 +224,12 @@ def _best_tags(xyz, g2, params: ChannelParams):
     computed k is at least -(R^2 + z_hi^2) / 2 g2 (1 + BOUND_SLACK)
     (1 + delta), which every near pair meets, or at least far_ratio
     (1 + BOUND_SLACK)(1 + delta) / (1 - delta) times its UE's largest
-    computed k.  Where delta is not below 1, or an entry or sum of the
-    matmul could overflow (z_hi = 0, x^2 overflowing, a hop-2 gain of 0
-    or one whose reciprocal overflows), every pair gets the exact formula.
+    computed k.  z_hi^2 is the largest height gap squared, floored at
+    4 rho^2 gamma_10 / (DELTA_MAX - gamma_10), so delta <= DELTA_MAX
+    however wide the cell.  Where an entry or sum of the matmul could
+    overflow (x^2 overflowing, a hop-2 gain of 0 or one whose reciprocal
+    overflows), or z_hi = 0 (every UE and tag at one point), every pair
+    gets the exact formula.
 
     This holds wherever the winning exact gain is 0 or above about
     5e-315, below which subnormal rounding could make a ruled-out pair
@@ -238,9 +243,11 @@ def _best_tags(xyz, g2, params: ChannelParams):
         np.maximum.reduce(xyz, axis=1).tolist(),
         np.minimum.reduce(xyz, axis=1).tolist())
     x_abs, y_abs = max(x_hi, -x_lo), max(y_hi, -y_lo)
-    z2 = (z_hi - z_lo) * (z_hi - z_lo)
+    rho2 = x_abs * x_abs + y_abs * y_abs
+    z2 = max((z_hi - z_lo) * (z_hi - z_lo),
+             4.0 * rho2 * _GAMMA_10 / (DELTA_MAX - _GAMMA_10))
     # bounds (|u| + |t|)^2 + z_hi^2, and 1 + |every entry| of the matmul
-    big = 4.0 * (x_abs * x_abs + y_abs * y_abs) + z2
+    big = 4.0 * rho2 + z2
     g_lo = float(np.minimum.reduce(g2))
     delta = _GAMMA_10 * big / z2 if z2 > 0.0 else math.inf
     if delta < 1.0 and g_lo > 0.0 and 2.0 * (big + 1.0) / g_lo < math.inf:

@@ -71,14 +71,6 @@ def _merge(base: dict, updates: dict) -> dict:
     return base
 
 
-def _build(base: dict) -> SimConfig:
-    channel_kwargs = base.pop("channel")
-    try:
-        return SimConfig(channel=ChannelParams(**channel_kwargs), **base)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
 def _parse_overrides(pairs):
     out = {}
     for pair in pairs:
@@ -115,7 +107,11 @@ def build_effective_config(config_path=None, overrides=(), seed=None,
         base["seed"] = int(seed)
     if trials is not None:
         base["n_trials"] = int(trials)
-    return _build(base)
+    channel_kwargs = base.pop("channel")
+    try:
+        return SimConfig(channel=ChannelParams(**channel_kwargs), **base)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def build_parser():
@@ -183,33 +179,26 @@ def run_cli(args, out=None, err=None) -> int:
                 and values != [getattr(cfg, key)]):
             raise ConfigError(f"{key!r} is swept by {args.subcommand}; "
                               f"--set {key} would have no effect")
+        if args.subcommand == "single" and args.trials is None:
+            cfg = dataclasses.replace(cfg, n_trials=1)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        snapshot = json.dumps(dataclasses.asdict(cfg), indent=2,
+                              sort_keys=True)
+        (out_dir / "config.snapshot.json").write_text(snapshot + "\n",
+                                                      encoding="utf-8")
+        report = sweep(cfg, key, values)
+        write_results(report, out_dir)
+    # ConfigError is a ValueError, so it must come first
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=err)
         return EXIT_CONFIG
-    if args.subcommand == "single" and args.trials is None:
-        cfg = dataclasses.replace(cfg, n_trials=1)
-
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        snapshot = json.dumps(cfg.to_dict(), indent=2, sort_keys=True)
-        (out_dir / "config.snapshot.json").write_text(snapshot + "\n",
-                                                      encoding="utf-8")
     except OSError as exc:
         print(f"I/O error: {exc}", file=err)
         return EXIT_IO
-
-    try:
-        report = sweep(cfg, key, values)
     except (ValueError, ArithmeticError) as exc:
         print(f"simulation error: {exc}", file=err)
         return EXIT_SIM
-
-    try:
-        write_results(report, out_dir)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=err)
-        return EXIT_IO
 
     if args.subcommand == "single":
         for r in sorted(report.records, key=lambda r: (r.trial, r.mode)):

@@ -3,7 +3,7 @@
 import functools
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -139,6 +139,3 @@ class SimConfig:
                               f"a peak gain that overflows (direct path "
                               f"{direct:.6g})")
         return self
-
-    def to_dict(self):
-        return asdict(self)

@@ -161,16 +161,17 @@ def _aggregate(records):
 
 def sweep(config: SimConfig, key, values) -> EeReport:
     """EE versus one SimConfig field: each trial of each value runs under
-    replace(config, **{key: value}), which validates the value by key."""
+    replace(config, **{key: value}), which validates the value by key.
+    Every value is validated before the first trial runs."""
     if not values:
         raise ValueError("a sweep needs at least one value")
     for si, value in enumerate(values):
         # a repeat would give a second run the same (value, trial) key
         if value in values[:si]:
             raise ValueError(f"{key} sweep value {value:g} is repeated")
+    configs = [replace(config, **{key: value}) for value in values]
     records = []
-    for si, value in enumerate(values):
-        cfg = replace(config, **{key: value})
+    for si, (value, cfg) in enumerate(zip(values, configs)):
         for t in range(config.n_trials):
             ts = derive_trial_seed(config.seed, si, t)
             try:

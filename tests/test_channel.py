@@ -433,8 +433,8 @@ class TestScreenedBestTag:
         assert np.array_equal(state.best_tag_index, [0])
 
     def test_ues_and_tags_at_one_height(self, monkeypatch):
-        # z_hi = 0 leaves no lower bound on h, so every pair gets the
-        # exact formula
+        # a height gap of 0 is floored (see _best_tags), so the bound
+        # still rules pairs out
         sizes = []
 
         def recording(distance, angle, params):
@@ -447,7 +447,7 @@ class TestScreenedBestTag:
                          random_points(rng, 40, 300, 1.0), uav_at(0, 0, 100))
         state = assert_matches_full_block(dep,
                                           ChannelParams(reflection_coeff=0.3))
-        assert sizes[1] == 13 * 40
+        assert sizes[1] < 13 * 40
         assert np.all(state.backscatter_gain > 0)
 
     @pytest.mark.parametrize("eta_nlos", [3000.0, 3150.0],
@@ -520,6 +520,25 @@ class TestScreenedBestTag:
             # one pass over the 1100 links to the UAV, then the UE-tag pairs
             assert sizes[0] == 1100
             assert sum(sizes[1:]) < 0.01 * 100 * 1000
+
+    def test_large_cell_screens_pairs_out(self, monkeypatch):
+        # at a 1e7 m radius the 0.5 m height gap alone would let the
+        # bound's rounding allowance reach 1 and keep every pair
+        sizes = []
+
+        def recording(distance, angle, params):
+            sizes.append(np.size(distance))
+            return a2g_path_loss(distance, angle, params)
+
+        monkeypatch.setattr("ambcsim.channel.a2g_path_loss", recording)
+        config = SimConfig(n_ues=20, n_tags=200, coverage_radius=1e7)
+        for seed in range(3):
+            sizes.clear()
+            assert_matches_full_block(sample_deployment(config, seed),
+                                      config.channel)
+            # one pass over the 220 links to the UAV, then the UE-tag pairs
+            assert sizes[0] == 220
+            assert sum(sizes[1:]) < 0.01 * 20 * 200
 
     def test_tag_on_a_ue_or_on_the_uav_rejected(self):
         ues = positions([0, 5], [0, 5], [1.5, 1.0])

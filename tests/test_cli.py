@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import ambcsim
+from ambcsim import harness
 from ambcsim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIM,
                          build_effective_config, build_parser, main)
 from ambcsim.config import ConfigError, SimConfig, dbm_to_watts
+from ambcsim.harness import run_trial
 
 
 def run(argv):
@@ -145,6 +147,22 @@ class TestRunCli:
                             "--set", f"{key}={value}", subcommand])
         assert code == EXIT_CONFIG
         assert key in err
+        assert not (tmp_path / "trials.csv").exists()
+
+    def test_sweep_point_over_budget_exit_2_before_any_trial(
+            self, tmp_path, monkeypatch):
+        # sweep-users reaches n_ues = 90, whose grouping DP needs 207025
+        # bytes; the snapshot is written, but no trial runs
+        calls = []
+        monkeypatch.setattr("ambcsim.config.MEMORY_BUDGET", 200_000)
+        monkeypatch.setattr(harness, "run_trial",
+                            lambda *a: calls.append(a) or run_trial(*a))
+        code, _, err = run(["--out", str(tmp_path), "--trials", "1",
+                            "sweep-users"])
+        assert code == EXIT_CONFIG
+        assert err.startswith("configuration error: n_ues would need")
+        assert calls == []
+        assert (tmp_path / "config.snapshot.json").exists()
         assert not (tmp_path / "trials.csv").exists()
 
     def test_sweep_reruns_from_snapshot(self, tmp_path):

@@ -307,6 +307,17 @@ class TestValidationOnEveryPath:
         # the whole of 2^32 // 10
         SimConfig(n_ues=19, n_tags=22_605_091)
 
+    def test_sweep_point_over_budget_rejected_before_any_trial(
+            self, monkeypatch):
+        # n_ues = 10 fits 200000 bytes, 90 needs 25 * 91^2 = 207025
+        calls = []
+        monkeypatch.setattr("ambcsim.config.MEMORY_BUDGET", 200_000)
+        monkeypatch.setattr(harness, "run_trial",
+                            lambda *a: calls.append(a) or run_trial(*a))
+        with pytest.raises(ConfigError, match="^n_ues would need 207025"):
+            sweep(SimConfig(n_trials=1), "n_ues", [10, 90])
+        assert calls == []
+
     def test_replace_revalidates(self):
         with pytest.raises(ConfigError, match="n_ues"):
             dataclasses.replace(SimConfig(), n_ues=0)

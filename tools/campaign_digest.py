@@ -42,6 +42,9 @@ CAMPAIGNS = [
     "--seed 3 --trials 2 --set ambc_enabled=false sweep-users",
     "--seed 5 --trials 2 --set n_tags=1000 --set coverage_radius=20000 "
     "sweep-users",
+    # a simulation error mid-sweep, at data_bits 60000 (the 5th of 9
+    # points), pins its exit 4, the snapshot bytes and the missing CSVs
+    "--seed 5 --trials 2 --set bandwidth=3000 sweep-data",
 ]
 FILES = ["trials.csv", "aggregates.csv", "config.snapshot.json"]
 
