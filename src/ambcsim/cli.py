@@ -28,21 +28,11 @@ EXIT_SIM = 4
 
 _SIM_FIELDS = {f.name for f in dataclasses.fields(SimConfig)}
 _INT_FIELDS = {f.name for f in dataclasses.fields(SimConfig) if f.type is int}
-_BOOL_FIELDS = {f.name for f in dataclasses.fields(SimConfig)
-                if f.type is bool}
 _CHANNEL_FIELDS = {f.name for f in dataclasses.fields(ChannelParams)}
 
 
 def _coerce(key, raw):
     try:
-        if key in _BOOL_FIELDS:
-            if isinstance(raw, bool):
-                return raw
-            if str(raw).lower() in ("true", "1"):
-                return True
-            if str(raw).lower() in ("false", "0"):
-                return False
-            raise ValueError("expected true/false")
         if isinstance(raw, bool):
             # int(True) and float(False) would pass a JSON boolean as 1, 0
             raise ValueError("expected a number, not a boolean")

@@ -12,7 +12,7 @@ from .channel import ChannelParams, a2g_path_loss, noise_power
 UE_HEIGHT = 1.5   # m, handset
 TAG_HEIGHT = 1.0  # m
 # Bytes that the grouping DP, or the channel's UE x tag block, may take.
-# 4 GiB admits n_ues <= 13106, and n_ues * n_tags <= 429496729.
+# 4 GiB admits n_ues <= 13106, and up to 31122950 tags for one UE.
 MEMORY_BUDGET = 1 << 32
 
 
@@ -55,7 +55,6 @@ class SimConfig:
     k_max: int = 10
     n_trials: int = 100
     seed: int = 0
-    ambc_enabled: bool = True
     channel: ChannelParams = field(default_factory=ChannelParams)
 
     def __post_init__(self):
@@ -122,17 +121,23 @@ class SimConfig:
         # float buffers, the cached divisor and the empty-run mask.  The
         # UE x tag block holds 10 bytes per pair at its peak: the float
         # bound, the keep mask and the far-pair compare before it joins
-        # the mask.
-        for keys, size in [("n_ues", 25 * (self.n_ues + 1) ** 2),
-                           ("n_ues and n_tags",
-                            10 * self.n_ues * self.n_tags)]:
+        # the mask.  Each UE and tag holds up to 128 bytes more in the
+        # channel: its position record and coordinate rows (24 + 24),
+        # then in the path-loss pass its link's offsets (24), horizontal
+        # distance, distance and elevation (24) and four loss temporaries
+        # (32), or in the best-tag bound its hop-2 gain and height offset
+        # (16), its matmul row (32) and, for a tag, a copy of its
+        # coordinate rows (24) and its bound's threshold (8).
+        n, m = self.n_ues, self.n_tags
+        for keys, size in [("n_ues", 25 * (n + 1) ** 2),
+                           ("n_ues and n_tags", 10 * n * m + 128 * (n + m))]:
             if size > MEMORY_BUDGET:
                 raise ConfigError(f"{keys} would need {size} bytes, over "
                                   f"the {MEMORY_BUDGET}-byte memory budget")
         direct, hop1, hop2 = _peak_gains(self.channel, self.uav_altitude)
         beta = self.channel.reflection_coeff
         peak = direct
-        if self.ambc_enabled and self.n_tags > 0 and beta > 0.0:
+        if self.n_tags > 0 and beta > 0.0:
             peak += beta * hop1 * hop2
         if not math.isfinite(peak):
             raise ConfigError(f"channel.carrier_freq and uav_altitude give "

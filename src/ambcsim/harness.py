@@ -52,7 +52,6 @@ class TrialModeResult:
 class TrialRecord:
     sweep_value: float
     trial: int
-    trial_seed: int
     mode: str
     ee: float
     served: int
@@ -110,10 +109,11 @@ def sample_deployment(config: SimConfig, trial_seed) -> Deployment:
     return Deployment(ues, tags, uav)
 
 
-def evaluate_mode(config: SimConfig, deployment: Deployment, ambc_enabled,
+def evaluate_mode(config: SimConfig, deployment: Deployment,
                   mode) -> TrialModeResult:
-    """Channel -> grouping -> per-cluster power allocation -> EE."""
-    state = effective_gains(deployment, config.channel, ambc_enabled)
+    """Channel -> grouping -> per-cluster power allocation -> EE; the
+    tags are used in the triad mode only."""
+    state = effective_gains(deployment, config.channel, mode == MODE_TRIAD)
     plan = group_users(state, config.n_subcarriers, k_max=config.k_max)
     rate = config.data_bits / config.frame_duration
     subcarrier_bw = config.bandwidth / config.n_subcarriers
@@ -137,9 +137,8 @@ def evaluate_mode(config: SimConfig, deployment: Deployment, ambc_enabled,
 def run_trial(config: SimConfig, trial_seed):
     """One paired trial; returns (triad, baseline) on the same deployment."""
     deployment = sample_deployment(config, trial_seed)
-    triad = evaluate_mode(config, deployment, config.ambc_enabled,
-                          MODE_TRIAD)
-    baseline = evaluate_mode(config, deployment, False, MODE_BASELINE)
+    triad = evaluate_mode(config, deployment, MODE_TRIAD)
+    baseline = evaluate_mode(config, deployment, MODE_BASELINE)
     return triad, baseline
 
 
@@ -182,7 +181,7 @@ def sweep(config: SimConfig, key, values) -> EeReport:
             for r in (triad, baseline):
                 served = int(np.count_nonzero(r.served_mask))
                 records.append(TrialRecord(
-                    sweep_value=value, trial=t, trial_seed=ts, mode=r.mode,
+                    sweep_value=value, trial=t, mode=r.mode,
                     ee=r.ee, served=served, outage=r.served_mask.size - served,
                     k=r.plan.k, f_statistic=r.plan.f_statistic))
     return EeReport(records=records, aggregates=_aggregate(records))

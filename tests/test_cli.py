@@ -121,7 +121,7 @@ class TestRunCli:
 
     def test_disabled_backscatter_zero_improvement(self, tmp_path):
         code, out, _ = run(["--out", str(tmp_path), *FAST,
-                            "--set", "ambc_enabled=false", "single"])
+                            "--set", "n_tags=0", "single"])
         assert code == EXIT_OK
         assert "0.00%" in out
 
@@ -234,7 +234,7 @@ class TestRunCli:
         assert not (tmp_path / "trials.csv").exists()
 
     @pytest.mark.parametrize("setting", [
-        "n_tags=0", "ambc_enabled=false", "channel.reflection_coeff=0"])
+        "n_tags=0", "channel.reflection_coeff=0"])
     def test_huge_direct_gain_runs_without_tags(self, tmp_path, setting):
         # direct gains of about 5e290 stay finite once no tag is used
         with warnings.catch_warnings():
@@ -258,6 +258,15 @@ class TestRunCli:
         code, _, err = run(["--out", str(tmp_path), "--set", "bogus=1",
                             "single"])
         assert code == EXIT_CONFIG
+
+    def test_removed_backscatter_switch_exit_2(self, tmp_path):
+        # snapshots written before the switch went hold this line
+        config = tmp_path / "c.json"
+        config.write_text('{"ambc_enabled": true}')
+        code, _, err = run(["--out", str(tmp_path / "r"), "--config",
+                            str(config), "single"])
+        assert code == EXIT_CONFIG
+        assert "unknown configuration key 'ambc_enabled'" in err
 
     def test_malformed_config_file_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,7 +124,6 @@ class TestSweeps:
         key = lambda r: (r.trial, r.mode)
         for ru, rd in zip(sorted(users.records, key=key),
                           sorted(data.records, key=key)):
-            assert ru.trial_seed == rd.trial_seed
             assert ru.ee == rd.ee
             assert ru.served == rd.served
             assert ru.k == rd.k
@@ -204,9 +204,9 @@ def aggregate_by_filter(records):
 class TestAggregate:
     def test_equals_per_key_filter_on_shuffled_records(self):
         rng = np.random.default_rng(17)
-        records = [TrialRecord(sweep_value=value, trial=t, trial_seed=t,
-                               mode=mode, ee=float(ee), served=1, outage=0,
-                               k=1, f_statistic=math.nan)
+        records = [TrialRecord(sweep_value=value, trial=t, mode=mode,
+                               ee=float(ee), served=1, outage=0, k=1,
+                               f_statistic=math.nan)
                    for value in (10, 55.0, 100, 20_000.0)
                    for mode in ("triad", "baseline")
                    for t, ee in enumerate(10.0 ** rng.uniform(
@@ -293,6 +293,9 @@ class TestValidationOnEveryPath:
         (1, 429_496_730, "n_ues and n_tags"),
         (100, 4_294_968, "n_ues and n_tags"),
         (19, 22_605_092, "n_ues and n_tags"),
+        (1, 31_122_951, "n_ues and n_tags"),
+        (100, 3_807_584, "n_ues and n_tags"),
+        (92, 4_098_241, "n_ues and n_tags"),
     ])
     def test_over_memory_budget_rejected(self, n_ues, n_tags, keys):
         # built, never run: the check must not allocate what it bounds
@@ -301,11 +304,27 @@ class TestValidationOnEveryPath:
 
     def test_largest_within_memory_budget_accepted(self):
         SimConfig(n_ues=13_106, n_tags=0)
-        SimConfig(n_ues=1, n_tags=429_496_729)
-        SimConfig(n_ues=100, n_tags=4_294_967)
-        # the UE x tag block takes 10 bytes a pair, and 19 * 22605091 is
-        # the whole of 2^32 // 10
-        SimConfig(n_ues=19, n_tags=22_605_091)
+        SimConfig(n_ues=1, n_tags=31_122_950)
+        SimConfig(n_ues=100, n_tags=3_807_583)
+        # the channel takes 10 bytes a pair and 128 a point, and
+        # 10 * 92 * 4098240 + 128 * (92 + 4098240) is the whole of 2^32
+        SimConfig(n_ues=92, n_tags=4_098_240)
+
+    @pytest.mark.parametrize("n_ues, n_tags", [(1, 200_000), (300, 3000)])
+    def test_trial_peak_within_counted_bytes(self, monkeypatch, n_ues,
+                                             n_tags):
+        # a budget one byte under what one trial took must refuse it
+        config = SimConfig(n_ues=n_ues, n_tags=n_tags)
+        run_trial(config, 3)  # the first call imports and caches
+        tracemalloc.start()
+        try:
+            run_trial(config, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr("ambcsim.config.MEMORY_BUDGET", peak - 1)
+        with pytest.raises(ConfigError, match="^n_ues and n_tags would"):
+            SimConfig(n_ues=n_ues, n_tags=n_tags)
 
     def test_sweep_point_over_budget_rejected_before_any_trial(
             self, monkeypatch):

@@ -24,7 +24,7 @@ from pathlib import Path
 # middle layer), n_subcarriers = 3 (k capped below k_max); a small cell
 # without tags, whose close gains put F's last digits at stake; one UE
 # (a one-row UE x tag block, one cluster, a one-UE admission scan);
-# backscatter disabled in both modes; 1000 tags over a 20 km cell, where
+# tags that reflect nothing (beta = 0); 1000 tags over a 20 km cell, where
 # the best-tag bound's rounding is largest; the rest cover the defaults,
 # a binding power budget, dense tags and a large n.
 CAMPAIGNS = [
@@ -39,7 +39,7 @@ CAMPAIGNS = [
     "--seed 2 --trials 10 --set n_tags=0 --set coverage_radius=20 "
     "sweep-users",
     "--seed 3 --trials 3 --set n_ues=1 sweep-data",
-    "--seed 3 --trials 2 --set ambc_enabled=false sweep-users",
+    "--seed 3 --trials 2 --set channel.reflection_coeff=0 sweep-users",
     "--seed 5 --trials 2 --set n_tags=1000 --set coverage_radius=20000 "
     "sweep-users",
     # a simulation error mid-sweep, at data_bits 60000 (the 5th of 9
