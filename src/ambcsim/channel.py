@@ -274,7 +274,7 @@ def _best_tags(xyz, g2, params: ChannelParams):
     # flat indices beat 2-d ones (nonzero by ~10x on large blocks)
     flat = keep.ravel().nonzero()[0]
     i, j = np.unravel_index(flat, keep.shape)
-    dx, dy, dz = xyz.take(i, axis=1) - xyz[:, n:].take(j, axis=1)
+    dx, dy, dz = xyz.take(i, axis=1) - xyz.take(j + n, axis=1)
     g1 = _link_gain(dx, dy, np.abs(dz), params)
     cascaded = k
     cascaded.fill(0.0)

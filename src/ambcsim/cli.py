@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .channel import ChannelParams
 from .config import ConfigError, SimConfig
-from .harness import MODE_BASELINE, MODE_TRIAD, sweep, write_results
+from .harness import sweep, write_results
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,22 +125,16 @@ def build_parser():
 
 def _print_summary(report, out):
     """Print the summary table in one write: an unbuffered stream would
-    otherwise take a system call per line."""
-    by_value = {}
-    for agg in report.aggregates:
-        by_value.setdefault(agg.sweep_value, {})[agg.mode] = agg
+    otherwise take a system call per line.  The aggregates come in
+    (baseline, triad) pairs, one pair per sweep value."""
+    aggs = report.aggregates
     lines = [f"{'sweep_value':>12} {'mode':>9} {'mean_ee':>15} "
              f"{'ci95_half':>12}"]
-    gains = []
-    for value in sorted(by_value):
-        modes = by_value[value]
-        for mode in (MODE_BASELINE, MODE_TRIAD):
-            agg = modes[mode]
-            lines.append(f"{value:>12g} {mode:>9} {agg.mean_ee:>15.6g} "
-                         f"{agg.ci95_half:>12.4g}")
-        base = modes[MODE_BASELINE].mean_ee
-        if base > 0:
-            gains.append(100.0 * (modes[MODE_TRIAD].mean_ee - base) / base)
+    lines += [f"{a.sweep_value:>12g} {a.mode:>9} {a.mean_ee:>15.6g} "
+              f"{a.ci95_half:>12.4g}" for a in aggs]
+    gains = [100.0 * (triad.mean_ee - base.mean_ee) / base.mean_ee
+             for base, triad in zip(aggs[::2], aggs[1::2])
+             if base.mean_ee > 0]
     if gains:
         lines.append(f"mean triad-vs-baseline improvement: "
                      f"{sum(gains) / len(gains):.2f}%")
@@ -191,7 +185,7 @@ def run_cli(args, out=None, err=None) -> int:
         return EXIT_SIM
 
     if args.subcommand == "single":
-        for r in sorted(report.records, key=lambda r: (r.trial, r.mode)):
+        for r in report.records:
             print(f"trial {r.trial} {r.mode}: ee={r.ee:.6g} bits/J "
                   f"served={r.served} outage={r.outage} k={r.k}", file=out)
     _print_summary(report, out)

@@ -126,8 +126,8 @@ class SimConfig:
         # then in the path-loss pass its link's offsets (24), horizontal
         # distance, distance and elevation (24) and four loss temporaries
         # (32), or in the best-tag bound its hop-2 gain and height offset
-        # (16), its matmul row (32) and, for a tag, a copy of its
-        # coordinate rows (24) and its bound's threshold (8).
+        # (16), its matmul row (32) and, for a tag, its bound's
+        # threshold (8).
         n, m = self.n_ues, self.n_tags
         for keys, size in [("n_ues", 25 * (n + 1) ** 2),
                            ("n_ues and n_tags", 10 * n * m + 128 * (n + m))]:

@@ -142,35 +142,32 @@ def run_trial(config: SimConfig, trial_seed):
     return triad, baseline
 
 
-def _aggregate(records):
-    groups = {}  # (sweep value, mode) -> EEs in record order
-    for r in records:
-        groups.setdefault((r.sweep_value, r.mode), []).append(r.ee)
-    out = []
-    for value, mode in sorted(groups):
-        ees = np.array(groups[value, mode])
-        n = ees.size
-        std = float(np.std(ees, ddof=1)) if n > 1 else 0.0
-        out.append(Aggregate(sweep_value=value, mode=mode,
-                             mean_ee=float(ees.mean()), std_ee=std,
-                             ci95_half=1.96 * std / math.sqrt(n),
-                             n_trials=n))
-    return out
+def _aggregate(value, mode, ees):
+    """Mean, sample std and 95 % CI half-width of one point's EEs."""
+    n = ees.size
+    std = float(np.std(ees, ddof=1)) if n > 1 else 0.0
+    return Aggregate(sweep_value=value, mode=mode, mean_ee=float(ees.mean()),
+                     std_ee=std, ci95_half=1.96 * std / math.sqrt(n),
+                     n_trials=n)
 
 
 def sweep(config: SimConfig, key, values) -> EeReport:
     """EE versus one SimConfig field: each trial of each value runs under
     replace(config, **{key: value}), which validates the value by key.
-    Every value is validated before the first trial runs."""
+    Every value is validated before the first trial runs.  The values
+    must ascend strictly, since the report keeps their order: records by
+    value, then trial, then mode (baseline, triad); aggregates by value,
+    then mode."""
     if not values:
         raise ValueError("a sweep needs at least one value")
-    for si, value in enumerate(values):
-        # a repeat would give a second run the same (value, trial) key
-        if value in values[:si]:
-            raise ValueError(f"{key} sweep value {value:g} is repeated")
+    for lo, hi in zip(values, values[1:]):
+        if not lo < hi:
+            raise ValueError(f"{key} sweep values must ascend strictly; "
+                             f"{hi:g} follows {lo:g}")
     configs = [replace(config, **{key: value}) for value in values]
-    records = []
+    records, aggregates = [], []
     for si, (value, cfg) in enumerate(zip(values, configs)):
+        start = len(records)
         for t in range(config.n_trials):
             ts = derive_trial_seed(config.seed, si, t)
             try:
@@ -178,13 +175,16 @@ def sweep(config: SimConfig, key, values) -> EeReport:
             except (ValueError, ArithmeticError) as exc:
                 raise type(exc)(f"{exc} (at {key} sweep value {value:g}, "
                                 f"trial {t}, trial seed {ts})") from exc
-            for r in (triad, baseline):
+            for r in (baseline, triad):
                 served = int(np.count_nonzero(r.served_mask))
                 records.append(TrialRecord(
                     sweep_value=value, trial=t, mode=r.mode,
                     ee=r.ee, served=served, outage=r.served_mask.size - served,
                     k=r.plan.k, f_statistic=r.plan.f_statistic))
-    return EeReport(records=records, aggregates=_aggregate(records))
+        for rows in (records[start::2], records[start + 1::2]):
+            aggregates.append(_aggregate(value, rows[0].mode,
+                                         np.array([r.ee for r in rows])))
+    return EeReport(records=records, aggregates=aggregates)
 
 
 def _fmt(value):
@@ -194,7 +194,8 @@ def _fmt(value):
 
 
 def write_results(report: EeReport, out_dir):
-    """Emit trials.csv and aggregates.csv (UTF-8, LF, 12 sig. digits)."""
+    """Emit trials.csv and aggregates.csv (UTF-8, LF, 12 sig. digits),
+    one row per record and per aggregate in the report's order."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -203,9 +204,7 @@ def write_results(report: EeReport, out_dir):
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["sweep_value", "trial", "mode", "ee_bits_per_joule",
                         "served", "outage", "k", "f_statistic"])
-            rows = sorted(report.records,
-                          key=lambda r: (r.sweep_value, r.trial, r.mode))
-            for r in rows:
+            for r in report.records:
                 w.writerow([_fmt(r.sweep_value), _fmt(r.trial), r.mode,
                             _fmt(r.ee), _fmt(r.served), _fmt(r.outage),
                             _fmt(r.k), _fmt(r.f_statistic)])
@@ -214,9 +213,7 @@ def write_results(report: EeReport, out_dir):
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["sweep_value", "mode", "mean_ee", "std_ee",
                         "ci95_half", "n_trials"])
-            rows = sorted(report.aggregates,
-                          key=lambda a: (a.sweep_value, a.mode))
-            for a in rows:
+            for a in report.aggregates:
                 w.writerow([_fmt(a.sweep_value), a.mode, _fmt(a.mean_ee),
                             _fmt(a.std_ee), _fmt(a.ci95_half),
                             _fmt(a.n_trials)])

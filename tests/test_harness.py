@@ -8,9 +8,9 @@ import pytest
 from ambcsim.channel import ChannelParams
 from ambcsim.config import ConfigError, SimConfig
 from ambcsim import harness
-from ambcsim.harness import (Aggregate, EeReport, TrialRecord,
-                             derive_trial_seed, run_trial, sample_deployment,
-                             sweep, write_results)
+from ambcsim.harness import (Aggregate, EeReport, derive_trial_seed,
+                             run_trial, sample_deployment, sweep,
+                             write_results)
 from ambcsim.power import InfeasibleDemandError
 
 
@@ -121,9 +121,7 @@ class TestSweeps:
         cfg = small_config(n_trials=3, n_ues=70)
         users = sweep(cfg, "n_ues", [70])
         data = sweep(cfg, "data_bits", [60_000.0])
-        key = lambda r: (r.trial, r.mode)
-        for ru, rd in zip(sorted(users.records, key=key),
-                          sorted(data.records, key=key)):
+        for ru, rd in zip(users.records, data.records):
             assert ru.ee == rd.ee
             assert ru.served == rd.served
             assert ru.k == rd.k
@@ -165,15 +163,25 @@ class TestSweeps:
         with pytest.raises(ValueError):
             sweep(small_config(), "data_bits", [])
 
-    @pytest.mark.parametrize("key, values, repeated", [
-        ("n_ues", [8, 8], "8"),
-        ("data_bits", [30_000.0, 60_000.0, 30_000], "30000"),
-    ])
-    def test_repeated_value_rejected(self, key, values, repeated):
-        # each would be a second trial under the same (value, trial) key
+    @pytest.mark.parametrize("key, values, lo, hi", [
+        ("n_ues", [8, 8], "8", "8"),
+        ("data_bits", [30_000.0, 60_000.0, 30_000], "60000", "30000"),
+        ("n_ues", [12, 5], "12", "5"),
+    ], ids=["repeat", "repeat-later", "descending"])
+    def test_not_strictly_ascending_rejected(self, key, values, lo, hi):
+        # the report lists the points in the order given
         with pytest.raises(ValueError,
-                           match=f"{key} sweep value {repeated} is repeated"):
+                           match=f"{key} sweep values must ascend strictly; "
+                                 f"{hi} follows {lo}"):
             sweep(SimConfig(n_trials=2, n_ues=8, n_tags=3), key, values)
+
+    def test_report_order(self):
+        rep = sweep(small_config(n_trials=3), "n_ues", [5, 12])
+        assert [(r.sweep_value, r.trial, r.mode) for r in rep.records] == [
+            (v, t, m) for v in (5, 12) for t in range(3)
+            for m in ("baseline", "triad")]
+        assert [(a.sweep_value, a.mode) for a in rep.aggregates] == [
+            (v, m) for v in (5, 12) for m in ("baseline", "triad")]
 
     def test_aggregates_recomputable(self):
         cfg = small_config(n_trials=8)
@@ -202,28 +210,9 @@ def aggregate_by_filter(records):
 
 
 class TestAggregate:
-    def test_equals_per_key_filter_on_shuffled_records(self):
-        rng = np.random.default_rng(17)
-        records = [TrialRecord(sweep_value=value, trial=t, mode=mode,
-                               ee=float(ee), served=1, outage=0, k=1,
-                               f_statistic=math.nan)
-                   for value in (10, 55.0, 100, 20_000.0)
-                   for mode in ("triad", "baseline")
-                   for t, ee in enumerate(10.0 ** rng.uniform(
-                       5, 9, size=int(rng.integers(1, 30))))]
-        for _ in range(5):
-            rng.shuffle(records)
-            got = harness._aggregate(records)
-            want = aggregate_by_filter(records)
-            assert [dataclasses.astuple(a) for a in got] == [
-                dataclasses.astuple(a) for a in want]
-
     def test_sweep_aggregates_equal_per_key_filter(self):
-        rep = sweep(small_config(n_trials=4), "n_ues", [12, 5])
+        rep = sweep(small_config(n_trials=4), "n_ues", [5, 12])
         assert rep.aggregates == aggregate_by_filter(rep.records)
-
-    def test_empty(self):
-        assert harness._aggregate([]) == []
 
 
 class TestWriteResults:
