@@ -22,6 +22,7 @@ bound keeps, so the matmul's bits never reach a result (see _best_tags).
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -74,7 +75,11 @@ class ChannelParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{f.name} must be a real number, got "
+                                 f"{value!r}")
+            if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
         if self.carrier_freq <= 0:
             raise ValueError("carrier_freq must be > 0")

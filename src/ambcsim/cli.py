@@ -185,9 +185,11 @@ def run_cli(args, out=None, err=None) -> int:
         return EXIT_SIM
 
     if args.subcommand == "single":
-        for r in report.records:
-            print(f"trial {r.trial} {r.mode}: ee={r.ee:.6g} bits/J "
-                  f"served={r.served} outage={r.outage} k={r.k}", file=out)
+        columns = [report.records[name].tolist() for name in
+                   ("trial", "mode", "ee", "served", "outage", "k")]
+        for t, mode, ee, served, outage, k in zip(*columns):
+            print(f"trial {t} {mode}: ee={ee:.6g} bits/J "
+                  f"served={served} outage={outage} k={k}", file=out)
     _print_summary(report, out)
     return EXIT_OK
 

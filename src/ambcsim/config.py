@@ -2,6 +2,7 @@
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, fields, replace
 
@@ -12,7 +13,8 @@ from .channel import ChannelParams, a2g_path_loss, noise_power
 UE_HEIGHT = 1.5   # m, handset
 TAG_HEIGHT = 1.0  # m
 # Bytes that the grouping DP, or the channel's UE x tag block, may take.
-# 4 GiB admits n_ues <= 13106, and up to 31122950 tags for one UE.
+# 4 GiB admits n_ues <= 13101 at k_max = 10, and up to 31122950 tags for
+# one UE.
 MEMORY_BUDGET = 1 << 32
 
 
@@ -63,8 +65,15 @@ class SimConfig:
 
     def validate(self):
         for key in (f.name for f in fields(self) if f.type is float):
-            if not math.isfinite(getattr(self, key)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{key} must be a real number, got "
+                                  f"{value!r}")
+            if not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite")
+        if not isinstance(self.channel, ChannelParams):
+            raise ConfigError(f"channel must be a ChannelParams, got "
+                              f"{self.channel!r}")
         positive = ["coverage_radius", "bandwidth", "p_max", "data_bits",
                     "frame_duration"]
         for key in positive:
@@ -117,23 +126,37 @@ class SimConfig:
                               f"n_subcarriers give a noise floor of "
                               f"{lowest:.6g} W on one subcarrier, below "
                               f"the smallest normal float")
-        # The grouping DP holds 25 bytes per (n_ues + 1)^2 entry: two
-        # float buffers, the cached divisor and the empty-run mask.  The
-        # UE x tag block holds 10 bytes per pair at its peak: the float
-        # bound, the keep mask and the far-pair compare before it joins
-        # the mask.  Each UE and tag holds up to 128 bytes more in the
-        # channel: its position record and coordinate rows (24 + 24),
+        # At its peak, in a trial's second mode, the grouping DP holds 25
+        # bytes per (n_ues + 1)^2 entry: two float buffers, the cached
+        # divisor and the empty-run mask.  Each of its k = min(k_max,
+        # n_ues, n_subcarriers) layers keeps a split table of n_ues + 1
+        # indices, with up to 160 bytes for its header and its WCSS entry
+        # in both modes, and the outer subtracts may take two 64 KiB ufunc
+        # buffers.  Each UE then holds up to 160 bytes more (138 in
+        # arrays): its position record (24), the first mode's assignment,
+        # power, outage and served flags (18), its four channel gains
+        # (32), its feature, sort order, centred value and prefix sums
+        # (40) and two best rows and a flat index (24); each tag holds its
+        # position record (24).
+        # The UE x tag block holds 10 bytes per pair at its peak: the
+        # float bound, the keep mask and the far-pair compare before it
+        # joins the mask.  Each UE and tag holds up to 128 bytes more in
+        # the channel: its position record and coordinate rows (24 + 24),
         # then in the path-loss pass its link's offsets (24), horizontal
         # distance, distance and elevation (24) and four loss temporaries
         # (32), or in the best-tag bound its hop-2 gain and height offset
         # (16), its matmul row (32) and, for a tag, its bound's
-        # threshold (8).
+        # threshold (8).  A trial needs the larger of the two counts, and
+        # a refusal names the keys of that one.
         n, m = self.n_ues, self.n_tags
-        for keys, size in [("n_ues", 25 * (n + 1) ** 2),
-                           ("n_ues and n_tags", 10 * n * m + 128 * (n + m))]:
-            if size > MEMORY_BUDGET:
-                raise ConfigError(f"{keys} would need {size} bytes, over "
-                                  f"the {MEMORY_BUDGET}-byte memory budget")
+        k = min(self.k_max, n, self.n_subcarriers)
+        size, keys = max(
+            (25 * (n + 1) ** 2 + k * (8 * n + 168) + 160 * n + 24 * m
+             + (1 << 17), "n_ues, n_tags, k_max and n_subcarriers"),
+            (10 * n * m + 128 * (n + m), "n_ues and n_tags"))
+        if size > MEMORY_BUDGET:
+            raise ConfigError(f"{keys} would need {size} bytes, over the "
+                              f"{MEMORY_BUDGET}-byte memory budget")
         direct, hop1, hop2 = _peak_gains(self.channel, self.uav_altitude)
         beta = self.channel.reflection_coeff
         peak = direct

@@ -12,7 +12,6 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import List
 
 import numpy as np
 
@@ -49,18 +48,6 @@ class TrialModeResult:
 
 
 @dataclass
-class TrialRecord:
-    sweep_value: float
-    trial: int
-    mode: str
-    ee: float
-    served: int
-    outage: int
-    k: int
-    f_statistic: float
-
-
-@dataclass
 class Aggregate:
     sweep_value: float
     mode: str
@@ -70,10 +57,22 @@ class Aggregate:
     n_trials: int
 
 
+# One row per trial and mode.  sweep_value keeps the Python value, so an
+# int prints with all its digits; mode holds "baseline" whole.
+RECORD = np.dtype((np.record, [
+    ("sweep_value", object), ("trial", int), ("mode", "U8"), ("ee", float),
+    ("served", int), ("outage", int), ("k", int), ("f_statistic", float)]))
+
+
 @dataclass
 class EeReport:
-    records: List[TrialRecord]
-    aggregates: List[Aggregate]
+    """records: a flat RECORD array of 2 P T rows for P sweep values and
+    T trials, by value, then trial, then mode (baseline, triad), so
+    records.reshape(P, T, 2) gives each point's (T, 2) columns.
+    aggregates: one Aggregate per value and mode, in the same order."""
+
+    records: np.ndarray
+    aggregates: list
 
 
 def _splitmix64(x):
@@ -155,9 +154,8 @@ def sweep(config: SimConfig, key, values) -> EeReport:
     """EE versus one SimConfig field: each trial of each value runs under
     replace(config, **{key: value}), which validates the value by key.
     Every value is validated before the first trial runs.  The values
-    must ascend strictly, since the report keeps their order: records by
-    value, then trial, then mode (baseline, triad); aggregates by value,
-    then mode."""
+    must ascend strictly, since the report keeps their order (see
+    EeReport)."""
     if not values:
         raise ValueError("a sweep needs at least one value")
     for lo, hi in zip(values, values[1:]):
@@ -165,9 +163,9 @@ def sweep(config: SimConfig, key, values) -> EeReport:
             raise ValueError(f"{key} sweep values must ascend strictly; "
                              f"{hi:g} follows {lo:g}")
     configs = [replace(config, **{key: value}) for value in values]
-    records, aggregates = [], []
+    records = np.zeros((len(values), config.n_trials, 2), RECORD)
+    aggregates = []
     for si, (value, cfg) in enumerate(zip(values, configs)):
-        start = len(records)
         for t in range(config.n_trials):
             ts = derive_trial_seed(config.seed, si, t)
             try:
@@ -175,16 +173,15 @@ def sweep(config: SimConfig, key, values) -> EeReport:
             except (ValueError, ArithmeticError) as exc:
                 raise type(exc)(f"{exc} (at {key} sweep value {value:g}, "
                                 f"trial {t}, trial seed {ts})") from exc
-            for r in (baseline, triad):
+            for m, r in enumerate((baseline, triad)):
                 served = int(np.count_nonzero(r.served_mask))
-                records.append(TrialRecord(
-                    sweep_value=value, trial=t, mode=r.mode,
-                    ee=r.ee, served=served, outage=r.served_mask.size - served,
-                    k=r.plan.k, f_statistic=r.plan.f_statistic))
-        for rows in (records[start::2], records[start + 1::2]):
-            aggregates.append(_aggregate(value, rows[0].mode,
-                                         np.array([r.ee for r in rows])))
-    return EeReport(records=records, aggregates=aggregates)
+                records[si, t, m] = (value, t, r.mode, r.ee, served,
+                                     r.served_mask.size - served, r.plan.k,
+                                     r.plan.f_statistic)
+        for m, mode in enumerate((MODE_BASELINE, MODE_TRIAD)):
+            aggregates.append(_aggregate(value, mode,
+                                         records["ee"][si, :, m].copy()))
+    return EeReport(records=records.reshape(-1), aggregates=aggregates)
 
 
 def _fmt(value):
@@ -204,10 +201,11 @@ def write_results(report: EeReport, out_dir):
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["sweep_value", "trial", "mode", "ee_bits_per_joule",
                         "served", "outage", "k", "f_statistic"])
-            for r in report.records:
-                w.writerow([_fmt(r.sweep_value), _fmt(r.trial), r.mode,
-                            _fmt(r.ee), _fmt(r.served), _fmt(r.outage),
-                            _fmt(r.k), _fmt(r.f_statistic)])
+            # column-wise: reading fields off np.record rows is slow
+            columns = [report.records[name].tolist() for name in RECORD.names]
+            for value, t, mode, ee, served, outage, k, f in zip(*columns):
+                w.writerow([_fmt(value), _fmt(t), mode, _fmt(ee),
+                            _fmt(served), _fmt(outage), _fmt(k), _fmt(f)])
         agg_path = out / "aggregates.csv"
         with open(agg_path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh, lineterminator="\n")

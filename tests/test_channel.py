@@ -152,6 +152,13 @@ def random_points(rng, n, half_width, z):
 
 
 class TestEffectiveGains:
+    def test_no_ue_rejected(self):
+        dep = Deployment(positions([], [], 1.5), positions([5], [5], 1.0),
+                         uav_at(0, 0, 100))
+        with pytest.raises(ValueError,
+                           match="^deployment must contain at least one UE$"):
+            effective_gains(dep, ChannelParams())
+
     def test_disabled_backscatter_equals_direct(self):
         dep = Deployment(positions([10, -50], [0, 30], 1.5),
                          positions([5], [5], 1.0), uav_at(0, 0, 100))

@@ -58,6 +58,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("{not json")
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"channel": 5}', "^channel must be an object$"),
+        ('{"channel": {"bogus": 1}}', "^unknown channel parameter 'bogus'$"),
+        ("[1]", "must hold a JSON object$"),
+    ])
+    def test_malformed_structure_rejected(self, parse_config, text,
+                                          message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
     def test_nested_channel_override(self, parse_config):
         cfg = parse_config('{"channel": {"reflection_coeff": 0.1}}')
         assert cfg.channel.reflection_coeff == 0.1
@@ -151,16 +161,17 @@ class TestRunCli:
 
     def test_sweep_point_over_budget_exit_2_before_any_trial(
             self, tmp_path, monkeypatch):
-        # sweep-users reaches n_ues = 90, whose grouping DP needs 207025
-        # bytes; the snapshot is written, but no trial runs
+        # sweep-users reaches n_ues = 80, whose grouping DP is counted at
+        # 316217 bytes; the snapshot is written, but no trial runs
         calls = []
-        monkeypatch.setattr("ambcsim.config.MEMORY_BUDGET", 200_000)
+        monkeypatch.setattr("ambcsim.config.MEMORY_BUDGET", 300_000)
         monkeypatch.setattr(harness, "run_trial",
                             lambda *a: calls.append(a) or run_trial(*a))
         code, _, err = run(["--out", str(tmp_path), "--trials", "1",
                             "sweep-users"])
         assert code == EXIT_CONFIG
-        assert err.startswith("configuration error: n_ues would need")
+        assert err.startswith("configuration error: n_ues, n_tags, k_max "
+                              "and n_subcarriers would need 316217 bytes")
         assert calls == []
         assert (tmp_path / "config.snapshot.json").exists()
         assert not (tmp_path / "trials.csv").exists()
@@ -201,6 +212,8 @@ class TestRunCli:
         # about 1e-323 W on one subcarrier: positive, but any SINR target
         # below 0.25 times it underflows to 0
         ("channel.noise_psd=-3240", "channel.noise_psd"),
+        ("channel.bogus=1", "unknown channel parameter 'bogus'"),
+        ("n_ues", "override 'n_ues' is not key=value"),
     ])
     def test_non_finite_or_impossible_value_exit_2(self, tmp_path, setting,
                                                    key):

@@ -344,6 +344,10 @@ class TestAllocateSubcarriersAgainstReference:
 
 
 class TestGroupUsers:
+    def test_no_ue_rejected(self):
+        with pytest.raises(ValueError, match="^empty feature vector$"):
+            group_users(state_from_db([]), 128, k_max=10)
+
     def test_singleton(self):
         plan = group_users(state_from_db([-80.0]), 128, k_max=10)
         assert plan.k == 1

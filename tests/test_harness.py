@@ -14,6 +14,10 @@ from ambcsim.harness import (Aggregate, EeReport, derive_trial_seed,
 from ambcsim.power import InfeasibleDemandError
 
 
+# the keys that the grouping DP's memory refusal names
+DP_KEYS = "n_ues, n_tags, k_max and n_subcarriers"
+
+
 def small_config(**kwargs):
     defaults = dict(seed=100, n_trials=5, n_ues=12, n_tags=4)
     defaults.update(kwargs)
@@ -182,6 +186,10 @@ class TestSweeps:
             for m in ("baseline", "triad")]
         assert [(a.sweep_value, a.mode) for a in rep.aggregates] == [
             (v, m) for v in (5, 12) for m in ("baseline", "triad")]
+        # 2 P T rows, so each point's (T, 2) columns are one reshape away
+        columns = rep.records.reshape(2, 3, 2)
+        assert columns["mode"].tolist() == [[["baseline", "triad"]] * 3] * 2
+        assert columns["trial"][1, :, 0].tolist() == [0, 1, 2]
 
     def test_aggregates_recomputable(self):
         cfg = small_config(n_trials=8)
@@ -217,7 +225,8 @@ class TestAggregate:
 
 class TestWriteResults:
     def test_empty_report_headers_only(self, tmp_path):
-        trials, aggs = write_results(EeReport([], []), tmp_path)
+        trials, aggs = write_results(
+            EeReport(np.zeros(0, harness.RECORD), []), tmp_path)
         assert trials.read_text().splitlines() == [
             "sweep_value,trial,mode,ee_bits_per_joule,served,outage,k,"
             "f_statistic"]
@@ -232,6 +241,15 @@ class TestWriteResults:
         assert len(lines) == 3  # header + baseline + triad
         assert lines[1].split(",")[2] == "baseline"
         assert lines[2].split(",")[2] == "triad"
+
+    def test_int_sweep_value_written_whole(self, tmp_path):
+        # as a float, 2**62 would be written 4.61168601843e+18
+        rep = sweep(small_config(n_trials=2), "seed", [1, 2 ** 62])
+        trials, aggs = write_results(rep, tmp_path)
+        for path, rows in ((trials, 4), (aggs, 2)):
+            lines = path.read_text().splitlines()[1:]
+            assert [line.split(",")[0] for line in lines] == (
+                ["1"] * rows + ["4611686018427387904"] * rows)
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = small_config(n_trials=4)
@@ -276,9 +294,35 @@ class TestValidationOnEveryPath:
         with pytest.raises(ConfigError, match="n_ues"):
             sweep(small_config(), "n_ues", [10.5])
 
+    @pytest.mark.parametrize("cls, kwargs, message", [
+        (SimConfig, dict(p_max=True),
+         "^p_max must be a real number, got True$"),
+        (SimConfig, dict(p_max="0.2"), "^p_max must be a real number"),
+        (SimConfig, dict(coverage_radius=None), "^coverage_radius must be a"),
+        (SimConfig, dict(channel=None),
+         "^channel must be a ChannelParams, got None$"),
+        (SimConfig, dict(channel={"noise_psd": -174.0}),
+         "^channel must be a ChannelParams"),
+        (ChannelParams, dict(reflection_coeff=True),
+         "^reflection_coeff must be a real number, got True$"),
+        (ChannelParams, dict(noise_psd="-174"), "^noise_psd must be a real"),
+    ])
+    def test_wrong_type_refused_by_key(self, cls, kwargs, message):
+        # the CLI refuses these before it builds a config
+        error = ConfigError if cls is SimConfig else ValueError
+        with pytest.raises(error, match=message):
+            cls(**kwargs)
+
+    def test_negative_tag_count_rejected(self):
+        with pytest.raises(ConfigError,
+                           match="^n_tags must be an integer >= 0$"):
+            SimConfig(n_tags=-1)
+
     @pytest.mark.parametrize("n_ues, n_tags, keys", [
-        (13_107, 0, "n_ues"),
-        (10 ** 12, 10, "n_ues"),
+        # the DP's rows are labelled by their first key
+        pytest.param(13_102, 0, DP_KEYS, id="13102-0-n_ues"),
+        pytest.param(13_107, 0, DP_KEYS, id="13107-0-n_ues"),
+        pytest.param(10 ** 12, 10, DP_KEYS, id="1000000000000-10-n_ues"),
         (1, 429_496_730, "n_ues and n_tags"),
         (100, 4_294_968, "n_ues and n_tags"),
         (19, 22_605_092, "n_ues and n_tags"),
@@ -291,20 +335,36 @@ class TestValidationOnEveryPath:
         with pytest.raises(ConfigError, match=f"^{keys} would need"):
             SimConfig(n_ues=n_ues, n_tags=n_tags)
 
+    @pytest.mark.parametrize("n", [13_106, 11_403])
+    def test_split_tables_over_memory_budget_rejected(self, n):
+        # at 13106 the split tables alone would add about 1.37 GB
+        with pytest.raises(ConfigError, match=f"^{DP_KEYS} would need"):
+            SimConfig(n_ues=n, k_max=n, n_subcarriers=n)
+
     def test_largest_within_memory_budget_accepted(self):
-        SimConfig(n_ues=13_106, n_tags=0)
+        SimConfig(n_ues=13_101, n_tags=0)
+        SimConfig(n_ues=11_402, k_max=11_402, n_subcarriers=11_402)
         SimConfig(n_ues=1, n_tags=31_122_950)
         SimConfig(n_ues=100, n_tags=3_807_583)
         # the channel takes 10 bytes a pair and 128 a point, and
         # 10 * 92 * 4098240 + 128 * (92 + 4098240) is the whole of 2^32
         SimConfig(n_ues=92, n_tags=4_098_240)
 
-    @pytest.mark.parametrize("n_ues, n_tags", [(1, 200_000), (300, 3000)])
-    def test_trial_peak_within_counted_bytes(self, monkeypatch, n_ues,
-                                             n_tags):
-        # a budget one byte under what one trial took must refuse it
-        config = SimConfig(n_ues=n_ues, n_tags=n_tags)
-        run_trial(config, 3)  # the first call imports and caches
+    @pytest.mark.parametrize("kwargs, keys", [
+        (dict(n_ues=1, n_tags=200_000), "n_ues and n_tags"),
+        (dict(n_ues=300, n_tags=3000), "n_ues and n_tags"),
+        # 300 split tables of 301 indices
+        (dict(n_ues=300, n_tags=10, k_max=300, n_subcarriers=300), DP_KEYS),
+        (dict(n_ues=3000, n_tags=100), DP_KEYS),
+    ], ids=["1-200000", "300-3000", "300-10-k300", "3000-100"])
+    def test_trial_peak_within_counted_bytes(self, monkeypatch, kwargs,
+                                             keys):
+        # A budget one byte under what one trial took must refuse it.
+        # The warm-up imports and caches at a small n, so the DP's n-only
+        # constants are built inside the measured trial, as in the first
+        # trial of every sweep point.
+        config = SimConfig(**kwargs)
+        run_trial(small_config(), 3)
         tracemalloc.start()
         try:
             run_trial(config, 3)
@@ -312,17 +372,19 @@ class TestValidationOnEveryPath:
         finally:
             tracemalloc.stop()
         monkeypatch.setattr("ambcsim.config.MEMORY_BUDGET", peak - 1)
-        with pytest.raises(ConfigError, match="^n_ues and n_tags would"):
-            SimConfig(n_ues=n_ues, n_tags=n_tags)
+        with pytest.raises(ConfigError, match=f"^{keys} would need"):
+            SimConfig(**kwargs)
 
     def test_sweep_point_over_budget_rejected_before_any_trial(
             self, monkeypatch):
-        # n_ues = 10 fits 200000 bytes, 90 needs 25 * 91^2 = 207025
+        # n_ues = 10 and the base config's 70 fit 300000 bytes; 90 is
+        # counted at 361617, of which 25 * 91^2 = 207025 for the DP's
+        # (n + 1)^2 tables
         calls = []
-        monkeypatch.setattr("ambcsim.config.MEMORY_BUDGET", 200_000)
+        monkeypatch.setattr("ambcsim.config.MEMORY_BUDGET", 300_000)
         monkeypatch.setattr(harness, "run_trial",
                             lambda *a: calls.append(a) or run_trial(*a))
-        with pytest.raises(ConfigError, match="^n_ues would need 207025"):
+        with pytest.raises(ConfigError, match=f"^{DP_KEYS} would need 361617"):
             sweep(SimConfig(n_trials=1), "n_ues", [10, 90])
         assert calls == []
 

@@ -42,6 +42,11 @@ class TestSinrGamma:
         with pytest.raises(InfeasibleDemandError):
             sinr_gamma(61.0, 1.0)
 
+    def test_nonpositive_bandwidth_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^cluster_bandwidth must be > 0$"):
+            sinr_gamma(1e6, 0.0)
+
 
 class TestMinPowerSingle:
     def test_zero_demand(self):
@@ -130,6 +135,10 @@ class TestIterativePowerAllocation:
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
             iterative_power_allocation([], 0.1, 1e-15, 0.2)
+
+    def test_nonpositive_budget_rejected(self):
+        with pytest.raises(ValueError, match="^p_max must be > 0$"):
+            iterative_power_allocation([1e-10], 0.1, 1e-15, 0.0)
 
 
 def reference_admission(gains, gamma, noise, p_max):

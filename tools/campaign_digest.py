@@ -26,14 +26,17 @@ from pathlib import Path
 # (a one-row UE x tag block, one cluster, a one-UE admission scan);
 # tags that reflect nothing (beta = 0); 1000 tags over a 20 km cell, where
 # the best-tag bound's rounding is largest; a several-trial ``single``,
-# whose per-trial lines print in the sweep's record order; the rest cover
-# the defaults, a binding power budget, dense tags and a large n.
+# whose per-trial lines print in the sweep's record order; a 150-trial
+# ``single``, whose aggregates sum more than 128 EEs, past which numpy's
+# pairwise sum recurses; the rest cover the defaults, a binding power
+# budget, dense tags and a large n.
 CAMPAIGNS = [
     "--seed 5 --trials 5 sweep-users",
     "--seed 5 --trials 5 --set p_max=1e-06 sweep-data",
     "--seed 5 --trials 2 --set n_tags=1000 sweep-users",
     "--seed 5 single",
     "--seed 5 --trials 3 single",
+    "--seed 4 --trials 150 --set n_ues=5 --set n_tags=2 single",
     "--seed 5 --trials 3 --set n_ues=300 --set n_subcarriers=64 sweep-data",
     "--seed 7 --trials 3 --set k_max=1 sweep-users",
     "--seed 7 --trials 3 --set k_max=2 sweep-users",
