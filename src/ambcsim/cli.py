@@ -185,9 +185,7 @@ def run_cli(args, out=None, err=None) -> int:
         return EXIT_SIM
 
     if args.subcommand == "single":
-        columns = [report.records[name].tolist() for name in
-                   ("trial", "mode", "ee", "served", "outage", "k")]
-        for t, mode, ee, served, outage, k in zip(*columns):
+        for _, t, mode, ee, served, outage, k, _ in report.records.tolist():
             print(f"trial {t} {mode}: ee={ee:.6g} bits/J "
                   f"served={served} outage={outage} k={k}", file=out)
     _print_summary(report, out)

@@ -146,14 +146,18 @@ class SimConfig:
         # distance, distance and elevation (24) and four loss temporaries
         # (32), or in the best-tag bound its hop-2 gain and height offset
         # (16), its matmul row (32) and, for a tag, its bound's
-        # threshold (8).  A trial needs the larger of the two counts, and
-        # a refusal names the keys of that one.
+        # threshold (8).  From a sweep point's second trial on, the DP's
+        # cached divisor, empty-run mask and row offsets, 9 (n_ues + 1)^2
+        # + 8 (n_ues + 1) bytes, stay live through the channel.  A trial
+        # needs the larger of the two counts, and a refusal names the
+        # keys of that one.
         n, m = self.n_ues, self.n_tags
         k = min(self.k_max, n, self.n_subcarriers)
+        grid = 9 * (n + 1) ** 2 + 8 * (n + 1)
         size, keys = max(
             (25 * (n + 1) ** 2 + k * (8 * n + 168) + 160 * n + 24 * m
              + (1 << 17), "n_ues, n_tags, k_max and n_subcarriers"),
-            (10 * n * m + 128 * (n + m), "n_ues and n_tags"))
+            (10 * n * m + 128 * (n + m) + grid, "n_ues and n_tags"))
         if size > MEMORY_BUDGET:
             raise ConfigError(f"{keys} would need {size} bytes, over the "
                               f"{MEMORY_BUDGET}-byte memory budget")

@@ -59,9 +59,9 @@ class Aggregate:
 
 # One row per trial and mode.  sweep_value keeps the Python value, so an
 # int prints with all its digits; mode holds "baseline" whole.
-RECORD = np.dtype((np.record, [
+RECORD = np.dtype([
     ("sweep_value", object), ("trial", int), ("mode", "U8"), ("ee", float),
-    ("served", int), ("outage", int), ("k", int), ("f_statistic", float)]))
+    ("served", int), ("outage", int), ("k", int), ("f_statistic", float)])
 
 
 @dataclass
@@ -201,9 +201,8 @@ def write_results(report: EeReport, out_dir):
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["sweep_value", "trial", "mode", "ee_bits_per_joule",
                         "served", "outage", "k", "f_statistic"])
-            # column-wise: reading fields off np.record rows is slow
-            columns = [report.records[name].tolist() for name in RECORD.names]
-            for value, t, mode, ee, served, outage, k, f in zip(*columns):
+            for value, t, mode, ee, served, outage, k, f in (
+                    report.records.tolist()):
                 w.writerow([_fmt(value), _fmt(t), mode, _fmt(ee),
                             _fmt(served), _fmt(outage), _fmt(k), _fmt(f)])
         agg_path = out / "aggregates.csv"
