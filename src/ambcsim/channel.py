@@ -18,12 +18,16 @@ gain g2, rules out nearly every UE-tag pair.  One 4-term matmul builds h
 for the whole UE x tag block; its rounding error is bounded and allowed
 for, and the exact cascaded gain is evaluated only on the pairs the
 bound keeps, so the matmul's bits never reach a result (see _best_tags).
+
+One pass over the links to the UAV serves both modes of a trial: a
+Deployment caches every node's coordinate rows and UAV-link gain, and
+the baseline mode reads the UEs' direct gains from that cache.
 """
 
 import functools
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -160,6 +164,47 @@ def _link_gain(dx, dy, dz, params: ChannelParams):
     return 10.0 ** (loss / -10.0)
 
 
+@dataclass
+class Deployment:
+    """UE and tag positions as contiguous XYZ record arrays, as positions
+    returns them, and the UAV as one XYZ record.
+
+    One link pass serves both modes of a trial: uav_links computes every
+    node's link to the UAV once per ChannelParams and caches it here, so
+    the positions must not change once a link has been computed.
+    harness.sample_deployment marks them read-only.
+    """
+
+    ue_positions: np.ndarray
+    tag_positions: np.ndarray
+    uav_position: np.record
+    _links: tuple = field(default=None, init=False, repr=False,
+                          compare=False)
+
+    def uav_links(self, params: ChannelParams):
+        """(xyz, g): the coordinate rows x, y, z of the UEs, then of the
+        tags if beta > 0, and the linear gain of each one's link to the
+        UAV, computed once per params."""
+        links = self._links
+        if links is None or links[0] != params:
+            ues, tags = self.ue_positions, self.tag_positions
+            n = ues.size
+            m = tags.size if params.reflection_coeff > 0.0 else 0
+            xyz = np.empty((3, n + m))
+            xyz.T[:n] = np.frombuffer(ues).reshape(n, 3)
+            if m:
+                xyz.T[n:] = np.frombuffer(tags).reshape(m, 3)
+            # the UEs' direct paths and the tags' hop 2 in one pass
+            ax, ay, az = self.uav_position.item()
+            dz = az - xyz[2]
+            np.abs(dz[n:], out=dz[n:])
+            g = _link_gain(ax - xyz[0], ay - xyz[1], dz, params)
+            for a in (xyz, g):
+                a.flags.writeable = False
+            links = self._links = (params, xyz, g)
+        return links[1:]
+
+
 def effective_gains(deployment, params: ChannelParams,
                     ambc_enabled: bool = True) -> ChannelState:
     """Per-UE direct, backscatter, and combined gains for one deployment.
@@ -173,27 +218,19 @@ def effective_gains(deployment, params: ChannelParams,
     and the argmax is taken.  The result is bit-identical to the argmax
     of the exact gains over the whole block; a UE whose gains all
     underflow picks tag 0.
+
+    Both modes read the direct gains from the deployment's one link pass
+    (see Deployment.uav_links), which with beta > 0 also covers the tags,
+    so a tag at the UAV is refused in either mode.
     """
-    ues = deployment.ue_positions
-    if ues.size == 0:
+    n = deployment.ue_positions.size
+    if n == 0:
         raise ValueError("deployment must contain at least one UE")
-    tags = deployment.tag_positions
-    n = ues.size
-    ax, ay, az = deployment.uav_position.item()
-    if ambc_enabled and tags.size and params.reflection_coeff > 0.0:
-        # contiguous coordinate rows x, y, z: the UEs, then the tags
-        xyz = np.empty((3, n + tags.size))
-        xyz.T[:n] = np.frombuffer(ues).reshape(n, 3)
-        xyz.T[n:] = np.frombuffer(tags).reshape(-1, 3)
-        # the UEs' direct paths and the tags' hop 2 in one pass
-        dz = az - xyz[2]
-        np.abs(dz[n:], out=dz[n:])
-        g = _link_gain(ax - xyz[0], ay - xyz[1], dz, params)
-        direct = g[:n]
+    xyz, g = deployment.uav_links(params)
+    direct = g[:n]
+    if ambc_enabled and g.size > n:
         best, backscatter = _best_tags(xyz, g[n:], params)
     else:
-        direct = _link_gain(ax - ues["x"], ay - ues["y"], az - ues["z"],
-                            params)
         best, backscatter = np.full(n, -1), np.zeros(n)
     return ChannelState(direct, backscatter, direct + backscatter, best)
 

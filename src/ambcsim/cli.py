@@ -123,10 +123,9 @@ def build_parser():
     return parser
 
 
-def _print_summary(report, out):
-    """Print the summary table in one write: an unbuffered stream would
-    otherwise take a system call per line.  The aggregates come in
-    (baseline, triad) pairs, one pair per sweep value."""
+def _summary_lines(report):
+    """Lines of the summary table.  The aggregates come in (baseline,
+    triad) pairs, one pair per sweep value."""
     aggs = report.aggregates
     lines = [f"{'sweep_value':>12} {'mode':>9} {'mean_ee':>15} "
              f"{'ci95_half':>12}"]
@@ -138,7 +137,7 @@ def _print_summary(report, out):
     if gains:
         lines.append(f"mean triad-vs-baseline improvement: "
                      f"{sum(gains) / len(gains):.2f}%")
-    out.write("\n".join(lines) + "\n")
+    return lines
 
 
 def run_cli(args, out=None, err=None) -> int:
@@ -184,11 +183,13 @@ def run_cli(args, out=None, err=None) -> int:
         print(f"simulation error: {exc}", file=err)
         return EXIT_SIM
 
+    lines = []
     if args.subcommand == "single":
-        for _, t, mode, ee, served, outage, k, _ in report.records.tolist():
-            print(f"trial {t} {mode}: ee={ee:.6g} bits/J "
-                  f"served={served} outage={outage} k={k}", file=out)
-    _print_summary(report, out)
+        lines = [f"trial {t} {mode}: ee={ee:.6g} bits/J served={served} "
+                 f"outage={outage} k={k}" for _, t, mode, ee, served, outage,
+                 k, _ in report.records.tolist()]
+    # one write: an unbuffered stream would take a system call per line
+    out.write("\n".join(lines + _summary_lines(report)) + "\n")
     return EXIT_OK
 
 

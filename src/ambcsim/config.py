@@ -13,7 +13,7 @@ from .channel import ChannelParams, a2g_path_loss, noise_power
 UE_HEIGHT = 1.5   # m, handset
 TAG_HEIGHT = 1.0  # m
 # Bytes that the grouping DP, or the channel's UE x tag block, may take.
-# 4 GiB admits n_ues <= 13101 at k_max = 10, and up to 31122950 tags for
+# 4 GiB admits n_ues <= 13100 at k_max = 10, and up to 31122950 tags for
 # one UE.
 MEMORY_BUDGET = 1 << 32
 
@@ -137,7 +137,10 @@ class SimConfig:
         # power, outage and served flags (18), its four channel gains
         # (32), its feature, sort order, centred value and prefix sums
         # (40) and two best rows and a flat index (24); each tag holds its
-        # position record (24).
+        # position record (24).  The deployment's cached links to the UAV
+        # (see channel.Deployment) hold 32 bytes more per UE and per tag,
+        # its coordinate rows (24) and link gain (8), live from the
+        # triad's channel call through the baseline's DP.
         # The UE x tag block holds 10 bytes per pair at its peak: the
         # float bound, the keep mask and the far-pair compare before it
         # joins the mask.  Each UE and tag holds up to 128 bytes more in
@@ -155,7 +158,7 @@ class SimConfig:
         k = min(self.k_max, n, self.n_subcarriers)
         grid = 9 * (n + 1) ** 2 + 8 * (n + 1)
         size, keys = max(
-            (25 * (n + 1) ** 2 + k * (8 * n + 168) + 160 * n + 24 * m
+            (25 * (n + 1) ** 2 + k * (8 * n + 168) + 192 * n + 56 * m
              + (1 << 17), "n_ues, n_tags, k_max and n_subcarriers"),
             (10 * n * m + 128 * (n + m) + grid, "n_ues and n_tags"))
         if size > MEMORY_BUDGET:

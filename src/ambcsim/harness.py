@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import effective_gains, noise_power, positions
+from .channel import Deployment, effective_gains, noise_power, positions
 from .clustering import ClusterPlan, group_users
 from .config import TAG_HEIGHT, UE_HEIGHT, SimConfig, dbm_to_watts
 from .power import compute_ee, iterative_power_allocation, sinr_gamma
@@ -24,16 +24,6 @@ MODE_TRIAD = "triad"
 MODE_BASELINE = "baseline"
 
 _MASK64 = (1 << 64) - 1
-
-
-@dataclass
-class Deployment:
-    """UE and tag positions as contiguous XYZ record arrays, as
-    channel.positions returns them, and the UAV as one XYZ record."""
-
-    ue_positions: np.ndarray
-    tag_positions: np.ndarray
-    uav_position: np.record
 
 
 @dataclass
@@ -93,19 +83,23 @@ def sample_deployment(config: SimConfig, trial_seed) -> Deployment:
     """Uniform-in-disk positions; UAV fixed at the cell center.
 
     Draw order (UE radii, UE azimuths, tag radii, tag azimuths) is part
-    of the reproducibility contract.
+    of the reproducibility contract.  The UEs and tags are read-only
+    views of one record array, since the deployment caches their links
+    (see Deployment).
     """
-    rng = np.random.default_rng(trial_seed)
-
-    def draw(n, z):
-        r = config.coverage_radius * np.sqrt(rng.random(n))
-        phi = 2.0 * np.pi * rng.random(n)
-        return positions(r * np.cos(phi), r * np.sin(phi), z)
-
-    ues = draw(config.n_ues, UE_HEIGHT)
-    tags = draw(config.n_tags, TAG_HEIGHT)
+    n, m = config.n_ues, config.n_tags
+    u = np.random.default_rng(trial_seed).random(2 * (n + m))
+    r = np.concatenate((u[:n], u[2 * n:2 * n + m]))
+    phi = np.concatenate((u[n:2 * n], u[2 * n + m:]))
+    np.sqrt(r, out=r)
+    r *= config.coverage_radius
+    phi *= 2.0 * np.pi
+    z = np.full(n + m, TAG_HEIGHT)
+    z[:n] = UE_HEIGHT
+    nodes = positions(r * np.cos(phi), r * np.sin(phi), z)
+    nodes.flags.writeable = False
     uav = positions(0.0, 0.0, config.uav_altitude)[()]
-    return Deployment(ues, tags, uav)
+    return Deployment(nodes[:n], nodes[n:], uav)
 
 
 def evaluate_mode(config: SimConfig, deployment: Deployment,
@@ -161,7 +155,7 @@ def sweep(config: SimConfig, key, values) -> EeReport:
     for lo, hi in zip(values, values[1:]):
         if not lo < hi:
             raise ValueError(f"{key} sweep values must ascend strictly; "
-                             f"{hi:g} follows {lo:g}")
+                             f"{_fmt(hi)} follows {_fmt(lo)}")
     configs = [replace(config, **{key: value}) for value in values]
     records = np.zeros((len(values), config.n_trials, 2), RECORD)
     aggregates = []
@@ -171,8 +165,9 @@ def sweep(config: SimConfig, key, values) -> EeReport:
             try:
                 triad, baseline = run_trial(cfg, ts)
             except (ValueError, ArithmeticError) as exc:
-                raise type(exc)(f"{exc} (at {key} sweep value {value:g}, "
-                                f"trial {t}, trial seed {ts})") from exc
+                raise type(exc)(f"{exc} (at {key} sweep value "
+                                f"{_fmt(value)}, trial {t}, trial seed "
+                                f"{ts})") from exc
             for m, r in enumerate((baseline, triad)):
                 served = int(np.count_nonzero(r.served_mask))
                 records[si, t, m] = (value, t, r.mode, r.ee, served,

@@ -79,6 +79,13 @@ def iterative_power_allocation(cluster_gains, gamma, noise, p_max):
     if top > 1023.0:
         with np.errstate(over="ignore"):
             rungs = gn * (1.0 + gamma) ** np.arange(n)
+            if 0.0 < gn < 1.0:
+                # (1 + gamma)^r can overflow where its rung is finite:
+                # redo those rungs with gamma noise brought up to about 1
+                # by (1 + gamma)^a first
+                r = np.isinf(rungs).nonzero()[0]
+                a = np.minimum(r, -math.log2(gn) / math.log2(1.0 + gamma))
+                rungs[r] = gn * (1.0 + gamma) ** a * (1.0 + gamma) ** (r - a)
     else:
         rungs = gn * (1.0 + gamma) ** np.arange(n)
     # Python floats divide with numpy's IEEE rounding; p is the power

@@ -553,12 +553,15 @@ class TestScreenedBestTag:
                            uav_at(0, 0, 100))
         on_uav = Deployment(ues, positions([30, 0], [0, 0], [1.0, 100]),
                             uav_at(0, 0, 100))
-        for dep, gains in itertools.product(
-                (on_ue, on_uav), (effective_gains, full_block_gains)):
+        calls = [(gains, dep, True) for dep, gains in itertools.product(
+            (on_ue, on_uav), (effective_gains, full_block_gains))]
+        # the baseline mode shares the triad's link pass, tags included
+        calls.append((effective_gains, on_uav, False))
+        for gains, dep, ambc in calls:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="distance must be > 0"):
-                    gains(dep, ChannelParams())
+                    gains(dep, ChannelParams(), ambc)
 
 
 class TestNoisePower:

@@ -11,7 +11,7 @@ import pytest
 import ambcsim
 from ambcsim import harness
 from ambcsim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIM,
-                         build_effective_config, build_parser, main)
+                         build_effective_config, build_parser, main, run_cli)
 from ambcsim.config import ConfigError, SimConfig, dbm_to_watts
 from ambcsim.harness import run_trial
 
@@ -112,6 +112,22 @@ class TestRunCli:
         assert "trial 0 baseline" in out
         assert "improvement" in out
 
+    def test_single_prints_in_one_write(self, tmp_path):
+        class Counting(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        out = Counting()
+        args = build_parser().parse_args(["--out", str(tmp_path), *FAST,
+                                          "--trials", "3", "single"])
+        assert run_cli(args, out=out, err=io.StringIO()) == EXIT_OK
+        assert out.writes == 1
+        # six per-trial lines, then the header, two aggregates and the gain
+        assert len(out.getvalue().splitlines()) == 10
+
     def test_snapshot_reproduces_run(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         code, _, _ = run(["--out", str(d1), "--seed", "17", *FAST, "single"])
@@ -162,7 +178,7 @@ class TestRunCli:
     def test_sweep_point_over_budget_exit_2_before_any_trial(
             self, tmp_path, monkeypatch):
         # sweep-users reaches n_ues = 80, whose grouping DP is counted at
-        # 316217 bytes; the snapshot is written, but no trial runs
+        # 319097 bytes; the snapshot is written, but no trial runs
         calls = []
         monkeypatch.setattr("ambcsim.config.MEMORY_BUDGET", 300_000)
         monkeypatch.setattr(harness, "run_trial",
@@ -171,7 +187,7 @@ class TestRunCli:
                             "sweep-users"])
         assert code == EXIT_CONFIG
         assert err.startswith("configuration error: n_ues, n_tags, k_max "
-                              "and n_subcarriers would need 316217 bytes")
+                              "and n_subcarriers would need 319097 bytes")
         assert calls == []
         assert (tmp_path / "config.snapshot.json").exists()
         assert not (tmp_path / "trials.csv").exists()

@@ -4,14 +4,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ambcsim.channel import ChannelParams
+from ambcsim.channel import ChannelParams, a2g_path_loss
 from ambcsim.config import ConfigError, SimConfig
 from ambcsim import harness
 from ambcsim.harness import (Aggregate, EeReport, derive_trial_seed,
                              run_trial, sample_deployment, sweep,
                              write_results)
 from ambcsim.power import InfeasibleDemandError
+from trial_reference import reference_trial
 
 
 # the keys that the grouping DP's memory refusal names
@@ -113,6 +116,54 @@ class TestRunTrial:
         assert np.array_equal(triad.served_mask, baseline.served_mask)
         assert triad.ee >= baseline.ee
 
+    @pytest.mark.parametrize("beta", [0.5, 0.0])
+    def test_one_uav_link_pass_serves_both_modes(self, monkeypatch, beta):
+        sizes = []
+
+        def recording(distance, angle, params):
+            sizes.append(np.size(distance))
+            return a2g_path_loss(distance, angle, params)
+
+        cfg = small_config(channel=ChannelParams(reflection_coeff=beta))
+        monkeypatch.setattr("ambcsim.channel.a2g_path_loss", recording)
+        for seed in range(5):
+            sizes.clear()
+            run_trial(cfg, seed)
+            if beta > 0.0:
+                # the links of all 16 nodes to the UAV, then the UE-tag
+                # pairs that the bound keeps
+                assert sizes[0] == 16 and len(sizes) == 2
+            else:
+                assert sizes == [12]
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(n_ues=st.integers(1, 39), n_tags=st.integers(0, 59),
+           radius=st.floats(1.0, 4.0).map(lambda e: 10.0 ** e),
+           altitude=st.floats(5.0, 500.0), k_max=st.integers(1, 11),
+           n_subcarriers=st.integers(1, 199),
+           p_max=st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e),
+           data_bits=st.floats(1e3, 3e5),
+           beta=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+           seed=st.integers(0, 2 ** 32))
+    def test_matches_whole_trial_reference(self, n_ues, n_tags, radius,
+                                           altitude, k_max, n_subcarriers,
+                                           p_max, data_bits, beta, seed):
+        cfg = SimConfig(n_ues=n_ues, n_tags=n_tags, coverage_radius=radius,
+                        uav_altitude=altitude, k_max=k_max,
+                        n_subcarriers=n_subcarriers, p_max=p_max,
+                        data_bits=data_bits,
+                        channel=ChannelParams(reflection_coeff=beta))
+        want = reference_trial(cfg, seed)
+        for got in run_trial(cfg, seed):
+            ee, served, k, assignment, subcarriers = want[got.mode]
+            assert got.ee.hex() == ee.hex()
+            np.testing.assert_array_equal(got.served_mask, served)
+            assert got.plan.k == k
+            np.testing.assert_array_equal(got.plan.assignment, assignment)
+            np.testing.assert_array_equal(
+                got.plan.subcarriers_per_cluster, subcarriers)
+
 
 class TestSweeps:
     def test_single_point_paired_records(self):
@@ -155,7 +206,7 @@ class TestSweeps:
             sweep(cfg, "data_bits", [1e9])
         message = str(info.value)
         assert "exceeds the supported range" in message
-        assert "1e+09" in message
+        assert "at data_bits sweep value 1000000000, " in message
         assert "trial 0," in message
         assert f"trial seed {seed}" in message
 
@@ -169,7 +220,10 @@ class TestSweeps:
         ("n_ues", [8, 8], "8", "8"),
         ("data_bits", [30_000.0, 60_000.0, 30_000], "60000", "30000"),
         ("n_ues", [12, 5], "12", "5"),
-    ], ids=["repeat", "repeat-later", "descending"])
+        # every digit, where :g would print 4.61169e+18 for both
+        ("seed", [2 ** 62 + 1, 2 ** 62], "4611686018427387905",
+         "4611686018427387904"),
+    ], ids=["repeat", "repeat-later", "descending", "int-digits"])
     def test_not_strictly_ascending_rejected(self, key, values, lo, hi):
         # the report lists the points in the order given
         with pytest.raises(ValueError,
@@ -318,6 +372,7 @@ class TestValidationOnEveryPath:
 
     @pytest.mark.parametrize("n_ues, n_tags, keys", [
         # the DP's rows are labelled by their first key
+        pytest.param(13_101, 0, DP_KEYS, id="13101-0-n_ues"),
         pytest.param(13_102, 0, DP_KEYS, id="13102-0-n_ues"),
         pytest.param(13_107, 0, DP_KEYS, id="13107-0-n_ues"),
         pytest.param(10 ** 12, 10, DP_KEYS, id="1000000000000-10-n_ues"),
@@ -337,15 +392,15 @@ class TestValidationOnEveryPath:
         with pytest.raises(ConfigError, match=f"^{keys} would need"):
             SimConfig(n_ues=n_ues, n_tags=n_tags)
 
-    @pytest.mark.parametrize("n", [13_106, 11_403])
+    @pytest.mark.parametrize("n", [13_106, 11_403, 11_402])
     def test_split_tables_over_memory_budget_rejected(self, n):
         # at 13106 the split tables alone would add about 1.37 GB
         with pytest.raises(ConfigError, match=f"^{DP_KEYS} would need"):
             SimConfig(n_ues=n, k_max=n, n_subcarriers=n)
 
     def test_largest_within_memory_budget_accepted(self):
-        SimConfig(n_ues=13_101, n_tags=0)
-        SimConfig(n_ues=11_402, k_max=11_402, n_subcarriers=11_402)
+        SimConfig(n_ues=13_100, n_tags=0)
+        SimConfig(n_ues=11_401, k_max=11_401, n_subcarriers=11_401)
         SimConfig(n_ues=1, n_tags=31_122_950)
         SimConfig(n_ues=100, n_tags=3_807_501)
         # the channel takes 10 bytes a pair, 128 a point and the DP's
@@ -359,7 +414,8 @@ class TestValidationOnEveryPath:
         # 300 split tables of 301 indices
         (dict(n_ues=300, n_tags=10, k_max=300, n_subcarriers=300), DP_KEYS),
         (dict(n_ues=3000, n_tags=100), DP_KEYS),
-    ], ids=["1-200000", "300-3000", "300-10-k300", "3000-100"])
+        (dict(n_ues=3000, n_tags=4800), DP_KEYS),
+    ], ids=["1-200000", "300-3000", "300-10-k300", "3000-100", "3000-4800"])
     def test_trial_peak_within_counted_bytes(self, monkeypatch, kwargs,
                                              keys):
         # A budget one byte under what a trial took must refuse it.  The
@@ -383,13 +439,13 @@ class TestValidationOnEveryPath:
     def test_sweep_point_over_budget_rejected_before_any_trial(
             self, monkeypatch):
         # n_ues = 10 and the base config's 70 fit 300000 bytes; 90 is
-        # counted at 361617, of which 25 * 91^2 = 207025 for the DP's
+        # counted at 364817, of which 25 * 91^2 = 207025 for the DP's
         # (n + 1)^2 tables
         calls = []
         monkeypatch.setattr("ambcsim.config.MEMORY_BUDGET", 300_000)
         monkeypatch.setattr(harness, "run_trial",
                             lambda *a: calls.append(a) or run_trial(*a))
-        with pytest.raises(ConfigError, match=f"^{DP_KEYS} would need 361617"):
+        with pytest.raises(ConfigError, match=f"^{DP_KEYS} would need 364817"):
             sweep(SimConfig(n_trials=1), "n_ues", [10, 90])
         assert calls == []
 

@@ -309,6 +309,16 @@ class TestLadderOverflowGate:
         np.testing.assert_array_equal(np.sort(sol.power[~sol.outage]), rungs)
         assert np.all(sol.power[sol.outage] == 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_finite_rung_past_an_overflowing_power_served(self):
+        # (1 + gamma)^1024 = 2^1024 overflows, but rank 1024's rung,
+        # 2^-60 2^1024 = 2^964, fits p_max
+        sol = iterative_power_allocation(np.ones(1025), 1.0, 2.0 ** -60,
+                                         2.0 ** 1000)
+        assert not sol.outage.any()
+        np.testing.assert_array_equal(np.sort(sol.power),
+                                      np.ldexp(2.0 ** -60, np.arange(1025)))
+
     @pytest.mark.parametrize("gamma, noise", [(1.0, 0.0), (0.0, 1e-15)])
     @pytest.mark.filterwarnings("error")
     def test_zero_gamma_times_noise(self, gamma, noise):
