@@ -27,19 +27,30 @@ def dbm_to_watts(dbm: float) -> float:
 
 
 @functools.lru_cache(maxsize=8)
-def _peak_gains(params: ChannelParams, uav_altitude: float):
-    """Upper bounds on the direct gain and on the two hop gains of a tag.
+def _cell_gains(params: ChannelParams, coverage_radius: float,
+                uav_altitude: float):
+    """(edge loss, direct, hop1, hop2): the worst direct path loss in dB
+    of any UE, and upper bounds on the direct gain and the two hop gains.
 
-    No UE is nearer the UAV than uav_altitude - UE_HEIGHT, no tag nearer
-    a UE than UE_HEIGHT - TAG_HEIGHT or the UAV than
-    uav_altitude - TAG_HEIGHT, and no excess loss is below eta_los, the
-    loss at P_LoS = 1 (plos_a = 0).  A bound that overflows is inf.
+    The farthest UE is at the cell edge, and P_LoS is monotone in the
+    elevation, which lies between the edge's and 90 deg, so the larger
+    loss of those two angles bounds every UE's.  No UE is nearer the UAV
+    than uav_altitude - UE_HEIGHT, no tag nearer a UE than UE_HEIGHT -
+    TAG_HEIGHT or the UAV than uav_altitude - TAG_HEIGHT, and no excess
+    loss is below eta_los, the loss at P_LoS = 1 (plos_a = 0).  A bound
+    that overflows is inf.
     """
-    nearest = np.array([uav_altitude - UE_HEIGHT, UE_HEIGHT - TAG_HEIGHT,
+    height = uav_altitude - UE_HEIGHT
+    edge = math.hypot(coverage_radius, height)
+    nearest = np.array([height, UE_HEIGHT - TAG_HEIGHT,
                         uav_altitude - TAG_HEIGHT])
     with np.errstate(over="ignore", divide="ignore"):
+        edge_loss = float(a2g_path_loss(
+            np.array([edge, edge]),
+            np.array([math.atan2(height, coverage_radius), math.pi / 2.0]),
+            params).max())
         loss = a2g_path_loss(nearest, np.zeros(3), replace(params, plos_a=0.0))
-        return tuple((10.0 ** (-loss / 10.0)).tolist())
+        return (edge_loss, *(10.0 ** (-loss / 10.0)).tolist())
 
 
 @dataclass
@@ -82,19 +93,12 @@ class SimConfig:
         if not self.uav_altitude > max(UE_HEIGHT, TAG_HEIGHT):
             raise ConfigError(f"uav_altitude must be above the UE and tag "
                               f"heights ({UE_HEIGHT} m, {TAG_HEIGHT} m)")
-        # Worst direct loss of any UE: the farthest one is at the cell edge,
-        # and P_LoS is monotone in the elevation, which lies between the
-        # edge's and 90 deg, so the larger loss of those two angles bounds
-        # every UE's.  Where its gain underflows, a UE's gain may be 0.
-        # An FSPL that overflows is an infinite loss; one whose log10
-        # argument underflows is -inf, an infinite gain, refused below.
-        height = self.uav_altitude - UE_HEIGHT
-        edge = math.hypot(self.coverage_radius, height)
-        with np.errstate(over="ignore", divide="ignore"):
-            loss = float(a2g_path_loss(
-                np.array([edge, edge]),
-                np.array([math.atan2(height, self.coverage_radius),
-                          math.pi / 2.0]), self.channel).max())
+        # Where the worst direct loss of any UE underflows as a gain, a
+        # UE's gain may be 0.  An FSPL that overflows is an infinite loss;
+        # one whose log10 argument underflows is -inf, an infinite gain,
+        # refused below.
+        loss, direct, hop1, hop2 = _cell_gains(
+            self.channel, self.coverage_radius, self.uav_altitude)
         if loss > 0.0 and 10.0 ** (-loss / 10.0) == 0.0:
             raise ConfigError(f"coverage_radius, uav_altitude and "
                               f"channel.carrier_freq give a cell-edge path "
@@ -164,7 +168,6 @@ class SimConfig:
         if size > MEMORY_BUDGET:
             raise ConfigError(f"{keys} would need {size} bytes, over the "
                               f"{MEMORY_BUDGET}-byte memory budget")
-        direct, hop1, hop2 = _peak_gains(self.channel, self.uav_altitude)
         beta = self.channel.reflection_coeff
         peak = direct
         if self.n_tags > 0 and beta > 0.0:

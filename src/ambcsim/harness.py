@@ -8,7 +8,6 @@ configuration field, such as the UE count or the per-UE payload, and
 aggregates energy efficiency per mode.
 """
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -83,23 +82,24 @@ def sample_deployment(config: SimConfig, trial_seed) -> Deployment:
     """Uniform-in-disk positions; UAV fixed at the cell center.
 
     Draw order (UE radii, UE azimuths, tag radii, tag azimuths) is part
-    of the reproducibility contract.  The UEs and tags are read-only
-    views of one record array, since the deployment caches their links
-    (see Deployment).
+    of the reproducibility contract.  The UEs, the tags and the UAV are
+    read-only views of one record array, the UAV its last record at
+    radius 0, since the deployment caches their links (see Deployment).
     """
     n, m = config.n_ues, config.n_tags
-    u = np.random.default_rng(trial_seed).random(2 * (n + m))
-    r = np.concatenate((u[:n], u[2 * n:2 * n + m]))
-    phi = np.concatenate((u[n:2 * n], u[2 * n + m:]))
+    r, phi = np.zeros((2, n + m + 1))
+    rng = np.random.default_rng(trial_seed)
+    for out in (r[:n], phi[:n], r[n:-1], phi[n:-1]):
+        rng.random(out=out)
     np.sqrt(r, out=r)
     r *= config.coverage_radius
     phi *= 2.0 * np.pi
-    z = np.full(n + m, TAG_HEIGHT)
+    z = np.full(n + m + 1, TAG_HEIGHT)
     z[:n] = UE_HEIGHT
+    z[-1] = config.uav_altitude
     nodes = positions(r * np.cos(phi), r * np.sin(phi), z)
     nodes.flags.writeable = False
-    uav = positions(0.0, 0.0, config.uav_altitude)[()]
-    return Deployment(nodes[:n], nodes[n:], uav)
+    return Deployment(nodes[:n], nodes[n:-1], nodes[-1])
 
 
 def evaluate_mode(config: SimConfig, deployment: Deployment,
@@ -136,12 +136,16 @@ def run_trial(config: SimConfig, trial_seed):
 
 
 def _aggregate(value, mode, ees):
-    """Mean, sample std and 95 % CI half-width of one point's EEs."""
+    """Mean, sample std and 95 % CI half-width of one point's EEs.  The
+    ufuncs that ees.mean() and np.std(ees, ddof=1) run, in their order,
+    give the same bits without their Python wrappers."""
     n = ees.size
-    std = float(np.std(ees, ddof=1)) if n > 1 else 0.0
-    return Aggregate(sweep_value=value, mode=mode, mean_ee=float(ees.mean()),
-                     std_ee=std, ci95_half=1.96 * std / math.sqrt(n),
-                     n_trials=n)
+    mean = float(np.add.reduce(ees) / n)
+    dev = ees - mean
+    np.multiply(dev, dev, out=dev)
+    std = math.sqrt(np.add.reduce(dev) / (n - 1)) if n > 1 else 0.0
+    return Aggregate(sweep_value=value, mode=mode, mean_ee=mean, std_ee=std,
+                     ci95_half=1.96 * std / math.sqrt(n), n_trials=n)
 
 
 def sweep(config: SimConfig, key, values) -> EeReport:
@@ -187,28 +191,25 @@ def _fmt(value):
 
 def write_results(report: EeReport, out_dir):
     """Emit trials.csv and aggregates.csv (UTF-8, LF, 12 sig. digits),
-    one row per record and per aggregate in the report's order."""
+    one row per record and per aggregate in the report's order, each
+    file in one write.  Every cell is a number, nan, inf or a mode name,
+    so none needs quoting."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         trials_path = out / "trials.csv"
-        with open(trials_path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["sweep_value", "trial", "mode", "ee_bits_per_joule",
-                        "served", "outage", "k", "f_statistic"])
-            for value, t, mode, ee, served, outage, k, f in (
-                    report.records.tolist()):
-                w.writerow([_fmt(value), _fmt(t), mode, _fmt(ee),
-                            _fmt(served), _fmt(outage), _fmt(k), _fmt(f)])
+        trials_path.write_text(
+            "sweep_value,trial,mode,ee_bits_per_joule,served,outage,k,"
+            "f_statistic\n" + "".join(
+                f"{_fmt(v)},{t},{mode},{ee:.12g},{s},{o},{k},{f:.12g}\n"
+                for v, t, mode, ee, s, o, k, f in report.records.tolist()),
+            encoding="utf-8", newline="")
         agg_path = out / "aggregates.csv"
-        with open(agg_path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["sweep_value", "mode", "mean_ee", "std_ee",
-                        "ci95_half", "n_trials"])
-            for a in report.aggregates:
-                w.writerow([_fmt(a.sweep_value), a.mode, _fmt(a.mean_ee),
-                            _fmt(a.std_ee), _fmt(a.ci95_half),
-                            _fmt(a.n_trials)])
+        agg_path.write_text(
+            "sweep_value,mode,mean_ee,std_ee,ci95_half,n_trials\n" + "".join(
+                f"{_fmt(a.sweep_value)},{a.mode},{a.mean_ee:.12g},"
+                f"{a.std_ee:.12g},{a.ci95_half:.12g},{a.n_trials}\n"
+                for a in report.aggregates), encoding="utf-8", newline="")
     except OSError as exc:
         raise OSError(f"failed writing results under {out}: {exc}") from exc
     return trials_path, agg_path

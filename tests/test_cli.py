@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
@@ -357,6 +358,20 @@ class TestRunCli:
         assert main(["--out", str(tmp_path), *FAST, "single"]) == EXIT_OK
         capsys.readouterr()
 
+    def test_cached_parser_carries_nothing_between_calls(self, tmp_path):
+        # --set is an append action: its default list must not grow
+        assert build_parser() is build_parser()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["--out", str(tmp_path / "a"), "--set", "n_tags=3",
+                         "--seed", "9", "--trials", "2", "single"]) == EXIT_OK
+            assert main(["--out", str(tmp_path / "b"), "single"]) == EXIT_OK
+        first, second = (
+            json.loads((tmp_path / d / "config.snapshot.json").read_text())
+            for d in ("a", "b"))
+        assert (first["n_tags"], first["seed"], first["n_trials"]) == (3, 9, 2)
+        assert second == dataclasses.asdict(SimConfig(n_trials=1))
+        assert build_parser().get_default("overrides") == []
+
     def test_main_writes_to_the_current_streams(self, tmp_path):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -373,6 +388,16 @@ def test_cli_imports_without_scipy():
     src = str(Path(ambcsim.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); "
             f"sys.modules['scipy'] = None; import ambcsim.cli")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+def test_cli_import_leaves_csv_unimported():
+    # write_results formats its rows itself; csv is not a start-up cost
+    src = str(Path(ambcsim.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import ambcsim.cli; "
+            f"assert 'csv' not in sys.modules")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr

@@ -1,6 +1,9 @@
+import csv
 import dataclasses
 import math
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambcsim.channel import ChannelParams, a2g_path_loss
-from ambcsim.config import ConfigError, SimConfig
+from ambcsim.config import ConfigError, SimConfig, _cell_gains
 from ambcsim import harness
 from ambcsim.harness import (Aggregate, EeReport, derive_trial_seed,
                              run_trial, sample_deployment, sweep,
@@ -35,7 +38,10 @@ class TestSampleDeployment:
         assert len(dep.tag_positions) == cfg.n_tags
         for p in np.concatenate([dep.ue_positions, dep.tag_positions]):
             assert math.hypot(p.x, p.y) <= cfg.coverage_radius
-        assert dep.uav_position.z == cfg.uav_altitude
+        # the last record of the nodes' array, at radius 0
+        assert dep.uav_position.item() == (0.0, 0.0, cfg.uav_altitude)
+        assert math.copysign(1.0, dep.uav_position.x) == 1.0
+        assert math.copysign(1.0, dep.uav_position.y) == 1.0
 
     def test_bit_identical_determinism(self):
         cfg = small_config()
@@ -274,6 +280,59 @@ class TestAggregate:
         rep = sweep(small_config(n_trials=4), "n_ues", [5, 12])
         assert rep.aggregates == aggregate_by_filter(rep.records)
 
+    # numpy's pairwise sum unrolls by 8 and recurses past 128 values
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 128, 129, 1000])
+    def test_bits_match_numpy_mean_and_std(self, n):
+        rng = np.random.default_rng(n)
+        cases = [
+            rng.random(n) * 10.0 ** rng.integers(-150, 150, n),  # decades
+            1e7 + rng.random(n),             # a large mean, small spread
+            np.where(rng.random(n) < 0.5, 0.0, 1e-300 * rng.random(n)),
+            np.full(n, 3.7e5),
+        ]
+        for ees in cases:
+            given = ees.copy()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                agg = harness._aggregate(5, "triad", ees)
+                std = float(np.std(ees, ddof=1)) if n > 1 else 0.0
+                mean = float(ees.mean())
+            assert np.array_equal(ees, given)
+            assert agg.mean_ee.hex() == mean.hex()
+            assert agg.std_ee.hex() == std.hex()
+            assert agg.ci95_half.hex() == (1.96 * std / math.sqrt(n)).hex()
+            assert agg.n_trials == n
+
+
+def _cell(value):
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".12g")
+
+
+def csv_write_results(report, out_dir):
+    """The csv.writer form of write_results, cell by cell: the
+    comparator for the one-write form."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "trials.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["sweep_value", "trial", "mode", "ee_bits_per_joule",
+                    "served", "outage", "k", "f_statistic"])
+        for value, t, mode, ee, served, outage, k, f in (
+                report.records.tolist()):
+            w.writerow([_cell(value), _cell(t), mode, _cell(ee),
+                        _cell(served), _cell(outage), _cell(k), _cell(f)])
+    with open(out / "aggregates.csv", "w", newline="",
+              encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["sweep_value", "mode", "mean_ee", "std_ee",
+                    "ci95_half", "n_trials"])
+        for a in report.aggregates:
+            w.writerow([_cell(a.sweep_value), a.mode, _cell(a.mean_ee),
+                        _cell(a.std_ee), _cell(a.ci95_half),
+                        _cell(a.n_trials)])
+
 
 class TestWriteResults:
     def test_empty_report_headers_only(self, tmp_path):
@@ -313,6 +372,32 @@ class TestWriteResults:
             (p2 / "trials.csv").read_bytes()
         assert (p1 / "aggregates.csv").read_bytes() == \
             (p2 / "aggregates.csv").read_bytes()
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        records = np.array([
+            (2 ** 62 + 1, 0, "baseline", 0.0, 3, 0, 1, np.nan),
+            (2 ** 62 + 1, 0, "triad", 1e-300, 2, 1, 2, np.inf),
+            (60_000.0, 1, "baseline", 123456.789012345678, 0, 8, 3, 0.5),
+            (60_000.0, 1, "triad", 1.5e16, 8, 0, 1, 2.0 / 3.0),
+        ], harness.RECORD)
+        aggregates = [
+            Aggregate(2 ** 62 + 1, "baseline", 0.0, 0.0, 0.0, 1),
+            Aggregate(2 ** 62 + 1, "triad", 1e-300, np.nan, np.inf, 2),
+            Aggregate(60_000.0, "baseline", 123456.789012345678,
+                      1.0 / 3.0, 1e-300, 150),
+        ]
+        reports = [EeReport(records, aggregates),
+                   sweep(small_config(n_trials=3), "data_bits",
+                         [30_000.0, 61_234.5])]
+        for i, report in enumerate(reports):
+            want, got = tmp_path / f"csv{i}", tmp_path / f"one{i}"
+            csv_write_results(report, want)
+            write_results(report, got)
+            for name in ("trials.csv", "aggregates.csv"):
+                assert (got / name).read_bytes() == (want / name).read_bytes()
+        rows = (tmp_path / "one0" / "trials.csv").read_text().splitlines()
+        assert rows[1:3] == ["4611686018427387905,0,baseline,0,3,0,1,nan",
+                             "4611686018427387905,0,triad,1e-300,2,1,2,inf"]
 
     def test_unwritable_destination(self, tmp_path):
         blocker = tmp_path / "file"
@@ -448,6 +533,26 @@ class TestValidationOnEveryPath:
         with pytest.raises(ConfigError, match=f"^{DP_KEYS} would need 364817"):
             sweep(SimConfig(n_trials=1), "n_ues", [10, 90])
         assert calls == []
+
+    def test_sweep_point_past_cached_cell_check_rejected_before_any_trial(
+            self, monkeypatch):
+        # the cell-edge loss is cached by (channel, coverage_radius,
+        # uav_altitude): 300 m fills the cache, 1e200 m still refuses,
+        # and a second sweep refuses again from the cached loss
+        calls = []
+        monkeypatch.setattr(harness, "run_trial",
+                            lambda *a: calls.append(a) or run_trial(*a))
+        _cell_gains.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="^coverage_radius, "
+                               "uav_altitude and channel.carrier_freq give "
+                               "a cell-edge path loss"):
+                sweep(SimConfig(n_trials=1), "coverage_radius",
+                      [300.0, 1e200])
+        assert calls == []
+        # one miss for 300 m and one for 1e200 m: the second sweep's
+        # refusal came from the cache
+        assert _cell_gains.cache_info().misses == 2
 
     def test_replace_revalidates(self):
         with pytest.raises(ConfigError, match="n_ues"):
