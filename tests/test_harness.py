@@ -291,13 +291,13 @@ class TestAggregate:
             np.full(n, 3.7e5),
         ]
         for ees in cases:
-            given = ees.copy()
+            before = ees.copy()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 agg = harness._aggregate(5, "triad", ees)
                 std = float(np.std(ees, ddof=1)) if n > 1 else 0.0
                 mean = float(ees.mean())
-            assert np.array_equal(ees, given)
+            assert np.array_equal(ees, before)
             assert agg.mean_ee.hex() == mean.hex()
             assert agg.std_ee.hex() == std.hex()
             assert agg.ci95_half.hex() == (1.96 * std / math.sqrt(n)).hex()
