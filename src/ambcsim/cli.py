@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error,
 
 import argparse
 import dataclasses
-import functools
 import json
 import sys
 from pathlib import Path
@@ -105,10 +104,7 @@ def build_effective_config(config_path=None, overrides=(), seed=None,
         raise ConfigError(str(exc))
 
 
-@functools.cache
 def build_parser():
-    """The parser, built on first use and reused; --set's append action
-    copies its default list, so no parse changes it."""
     parser = argparse.ArgumentParser(
         prog="ambcsim",
         description="Uplink cell simulator: UAV relay, backscatter tags, "

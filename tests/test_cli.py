@@ -358,9 +358,8 @@ class TestRunCli:
         assert main(["--out", str(tmp_path), *FAST, "single"]) == EXIT_OK
         capsys.readouterr()
 
-    def test_cached_parser_carries_nothing_between_calls(self, tmp_path):
+    def test_consecutive_calls_carry_nothing_over(self, tmp_path):
         # --set is an append action: its default list must not grow
-        assert build_parser() is build_parser()
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["--out", str(tmp_path / "a"), "--set", "n_tags=3",
                          "--seed", "9", "--trials", "2", "single"]) == EXIT_OK
@@ -370,7 +369,6 @@ class TestRunCli:
             for d in ("a", "b"))
         assert (first["n_tags"], first["seed"], first["n_trials"]) == (3, 9, 2)
         assert second == dataclasses.asdict(SimConfig(n_trials=1))
-        assert build_parser().get_default("overrides") == []
 
     def test_main_writes_to_the_current_streams(self, tmp_path):
         out, err = io.StringIO(), io.StringIO()
@@ -393,18 +391,9 @@ def test_cli_imports_without_scipy():
     assert result.returncode == 0, result.stderr
 
 
-def test_cli_import_leaves_csv_unimported():
-    # write_results formats its rows itself; csv is not a start-up cost
-    src = str(Path(ambcsim.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import ambcsim.cli; "
-            f"assert 'csv' not in sys.modules")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-
-
 def test_runs_leave_numpy_ma_unimported(tmp_path):
-    # numpy.ma adds about 1.5 MB of resident memory and nothing needs it
+    # numpy.ma adds about 1.5 MB of resident memory and nothing needs it;
+    # write_results formats its rows itself, so csv stays out too
     src = str(Path(ambcsim.__file__).resolve().parents[1])
     runs = [["--out", str(tmp_path / "single"), "single"],
             ["--out", str(tmp_path / "dense"), "--trials", "1",
@@ -412,7 +401,8 @@ def test_runs_leave_numpy_ma_unimported(tmp_path):
     code = (f"import sys; sys.path.insert(0, {src!r}); "
             f"from ambcsim.cli import main; "
             f"assert all(main(argv) == 0 for argv in {runs!r}); "
-            f"assert 'numpy.ma' not in sys.modules")
+            f"assert 'numpy.ma' not in sys.modules; "
+            f"assert 'csv' not in sys.modules")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
