@@ -65,6 +65,21 @@ def positions(x, y, z):
     return out
 
 
+class ConfigError(ValueError):
+    """Invalid configuration value; message names the offending key."""
+
+
+def check_finite_reals(obj, keys):
+    """Refuse the first of obj's keys whose value is not a finite real
+    number; a bool is not one."""
+    for key in keys:
+        value = getattr(obj, key)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{key} must be a real number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite")
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Propagation constants (urban defaults, all overridable)."""
@@ -78,22 +93,16 @@ class ChannelParams:
     reflection_coeff: float = 0.5  # tag power reflection fraction beta
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{f.name} must be a real number, got "
-                                 f"{value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite")
+        check_finite_reals(self, CHANNEL_FIELDS)
         if self.carrier_freq <= 0:
-            raise ValueError("carrier_freq must be > 0")
+            raise ConfigError("carrier_freq must be > 0")
         if self.plos_a < 0:
             # keeps the LoS probability 1 / (1 + a exp(...)) in (0, 1]
-            raise ValueError("plos_a must be >= 0")
+            raise ConfigError("plos_a must be >= 0")
         if not 0.0 <= self.reflection_coeff <= 1.0:
-            raise ValueError("reflection_coeff must be in [0, 1]")
+            raise ConfigError("reflection_coeff must be in [0, 1]")
         if not self.eta_nlos >= self.eta_los >= 0.0:
-            raise ValueError("require eta_nlos >= eta_los >= 0")
+            raise ConfigError("require eta_nlos >= eta_los >= 0")
 
     @functools.cached_property
     def far_ratio(self) -> float:
@@ -106,6 +115,10 @@ class ChannelParams:
         los = 10.0 ** ((self.eta_nlos - self.eta_los)
                        * (max(p0, p_far) - min(p0, p90)) / 10.0)
         return los * (1.0 + FAR_TAN * FAR_TAN)
+
+
+# Every ChannelParams field is a float
+CHANNEL_FIELDS = tuple(f.name for f in fields(ChannelParams))
 
 
 @dataclass

@@ -17,8 +17,8 @@ import json
 import sys
 from pathlib import Path
 
-from .channel import ChannelParams
-from .config import ConfigError, SimConfig
+from .channel import CHANNEL_FIELDS, ChannelParams
+from .config import INT_FIELDS, ConfigError, SimConfig
 from .harness import sweep, write_results
 
 EXIT_OK = 0
@@ -27,8 +27,6 @@ EXIT_IO = 3
 EXIT_SIM = 4
 
 _SIM_FIELDS = {f.name for f in dataclasses.fields(SimConfig)}
-_INT_FIELDS = {f.name for f in dataclasses.fields(SimConfig) if f.type is int}
-_CHANNEL_FIELDS = {f.name for f in dataclasses.fields(ChannelParams)}
 
 
 def _coerce(key, raw):
@@ -36,7 +34,7 @@ def _coerce(key, raw):
         if isinstance(raw, bool):
             # int(True) and float(False) would pass a JSON boolean as 1, 0
             raise ValueError("expected a number, not a boolean")
-        if key in _INT_FIELDS:
+        if key in INT_FIELDS:
             if isinstance(raw, float) and not raw.is_integer():
                 raise ValueError("expected an integer")
             return int(raw)
@@ -51,7 +49,7 @@ def _merge(base: dict, updates: dict) -> dict:
             if not isinstance(value, dict):
                 raise ConfigError("channel must be an object")
             for ck, cv in value.items():
-                if ck not in _CHANNEL_FIELDS:
+                if ck not in CHANNEL_FIELDS:
                     raise ConfigError(f"unknown channel parameter {ck!r}")
                 base["channel"][ck] = _coerce(ck, cv)
         elif key in _SIM_FIELDS:
@@ -75,9 +73,10 @@ def _parse_overrides(pairs):
 
 
 def build_effective_config(config_path=None, overrides=(), seed=None,
-                           trials=None) -> SimConfig:
-    """defaults <- config file <- --set overrides <- --seed/--trials."""
-    base = dataclasses.asdict(SimConfig())
+                           trials=None, *, defaults=()) -> SimConfig:
+    """SimConfig's defaults <- ``defaults`` (SimConfig keys and values)
+    <- config file <- --set overrides <- --seed/--trials."""
+    base = dict(defaults, channel={})
     if config_path is not None:
         try:
             text = Path(config_path).read_text(encoding="utf-8")
@@ -97,11 +96,8 @@ def build_effective_config(config_path=None, overrides=(), seed=None,
         base["seed"] = int(seed)
     if trials is not None:
         base["n_trials"] = int(trials)
-    channel_kwargs = base.pop("channel")
-    try:
-        return SimConfig(channel=ChannelParams(**channel_kwargs), **base)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    channel = ChannelParams(**base.pop("channel"))
+    return SimConfig(channel=channel, **base)
 
 
 def build_parser():
@@ -140,14 +136,15 @@ def _summary_lines(report):
     return lines
 
 
-def run_cli(args, out=None, err=None) -> int:
-    """Run one parsed command line; out and err default to the current
-    sys.stdout and sys.stderr."""
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
+def main(argv=None) -> int:
+    """Run one command line and return its exit code.  Output goes to the
+    sys.stdout and sys.stderr current at the call."""
+    args = build_parser().parse_args(argv)
     try:
-        cfg = build_effective_config(args.config, args.overrides, args.seed,
-                                     args.trials)
+        # single runs one trial unless a source sets n_trials
+        cfg = build_effective_config(
+            args.config, args.overrides, args.seed, args.trials,
+            defaults={"n_trials": 1} if args.subcommand == "single" else {})
         # subcommand -> (the SimConfig key it sweeps, the values)
         key, values = {
             "single": ("n_ues", [cfg.n_ues]),
@@ -162,8 +159,6 @@ def run_cli(args, out=None, err=None) -> int:
                 and values != [getattr(cfg, key)]):
             raise ConfigError(f"{key!r} is swept by {args.subcommand}; "
                               f"--set {key} would have no effect")
-        if args.subcommand == "single" and args.trials is None:
-            cfg = dataclasses.replace(cfg, n_trials=1)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         snapshot = json.dumps(dataclasses.asdict(cfg), indent=2,
@@ -174,13 +169,13 @@ def run_cli(args, out=None, err=None) -> int:
         write_results(report, out_dir)
     # ConfigError is a ValueError, so it must come first
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=err)
+        print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
-        print(f"I/O error: {exc}", file=err)
+        print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, ArithmeticError) as exc:
-        print(f"simulation error: {exc}", file=err)
+        print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIM
 
     lines = []
@@ -189,13 +184,8 @@ def run_cli(args, out=None, err=None) -> int:
                  f"outage={outage} k={k}" for _, t, mode, ee, served, outage,
                  k, _ in report.records.tolist()]
     # one write: an unbuffered stream would take a system call per line
-    out.write("\n".join(lines + _summary_lines(report)) + "\n")
+    sys.stdout.write("\n".join(lines + _summary_lines(report)) + "\n")
     return EXIT_OK
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return run_cli(args)
 
 
 if __name__ == "__main__":

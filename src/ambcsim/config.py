@@ -2,13 +2,13 @@
 
 import functools
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .channel import ChannelParams, a2g_path_loss, noise_power
+from .channel import (ChannelParams, ConfigError, a2g_path_loss,
+                      check_finite_reals, noise_power)
 
 UE_HEIGHT = 1.5   # m, handset
 TAG_HEIGHT = 1.0  # m
@@ -16,10 +16,6 @@ TAG_HEIGHT = 1.0  # m
 # 4 GiB admits n_ues <= 13100 at k_max = 10, and up to 31122950 tags for
 # one UE.
 MEMORY_BUDGET = 1 << 32
-
-
-class ConfigError(ValueError):
-    """Invalid configuration value; message names the offending key."""
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -53,7 +49,7 @@ def _cell_gains(params: ChannelParams, coverage_radius: float,
         return (edge_loss, *(10.0 ** (-loss / 10.0)).tolist())
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     coverage_radius: float = 300.0   # m
     n_subcarriers: int = 128
@@ -72,16 +68,7 @@ class SimConfig:
 
     def __post_init__(self):
         # Also runs on dataclasses.replace, so every sweep point is checked.
-        self.validate()
-
-    def validate(self):
-        for key in (f.name for f in fields(self) if f.type is float):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{key} must be a real number, got "
-                                  f"{value!r}")
-            if not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite")
+        check_finite_reals(self, FLOAT_FIELDS)
         if not isinstance(self.channel, ChannelParams):
             raise ConfigError(f"channel must be a ChannelParams, got "
                               f"{self.channel!r}")
@@ -104,7 +91,7 @@ class SimConfig:
                               f"channel.carrier_freq give a cell-edge path "
                               f"loss of {loss:.6g} dB, whose linear gain "
                               f"underflows to 0")
-        for key in (f.name for f in fields(self) if f.type is int):
+        for key in INT_FIELDS:
             value = getattr(self, key)
             if isinstance(value, bool) or not hasattr(value, "__index__"):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
@@ -176,4 +163,8 @@ class SimConfig:
             raise ConfigError(f"channel.carrier_freq and uav_altitude give "
                               f"a peak gain that overflows (direct path "
                               f"{direct:.6g})")
-        return self
+
+
+# The keys of each field kind, in field order, the order of the checks
+FLOAT_FIELDS = tuple(f.name for f in fields(SimConfig) if f.type is float)
+INT_FIELDS = tuple(f.name for f in fields(SimConfig) if f.type is int)

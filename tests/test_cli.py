@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -12,15 +13,15 @@ import pytest
 import ambcsim
 from ambcsim import harness
 from ambcsim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIM,
-                         build_effective_config, build_parser, main, run_cli)
+                         build_effective_config, main)
 from ambcsim.config import ConfigError, SimConfig, dbm_to_watts
 from ambcsim.harness import run_trial
 
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
-    from ambcsim.cli import run_cli
-    code = run_cli(build_parser().parse_args(argv), out=out, err=err)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -47,9 +48,9 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="n_ues"):
             parse_config('{"n_ues": 1.5}')
         with pytest.raises(ConfigError, match="n_tags"):
-            SimConfig(n_tags=2.5).validate()
+            SimConfig(n_tags=2.5)
         with pytest.raises(ConfigError, match="n_ues"):
-            SimConfig(n_ues=1.5).validate()
+            SimConfig(n_ues=1.5)
 
     def test_unknown_key_rejected(self, parse_config):
         with pytest.raises(ConfigError, match="bogus"):
@@ -122,9 +123,9 @@ class TestRunCli:
                 return super().write(text)
 
         out = Counting()
-        args = build_parser().parse_args(["--out", str(tmp_path), *FAST,
-                                          "--trials", "3", "single"])
-        assert run_cli(args, out=out, err=io.StringIO()) == EXIT_OK
+        with contextlib.redirect_stdout(out):
+            assert main(["--out", str(tmp_path), *FAST, "--trials", "3",
+                         "single"]) == EXIT_OK
         assert out.writes == 1
         # six per-trial lines, then the header, two aggregates and the gain
         assert len(out.getvalue().splitlines()) == 10
@@ -138,6 +139,25 @@ class TestRunCli:
         assert code == EXIT_OK
         assert (d1 / "trials.csv").read_bytes() == \
             (d2 / "trials.csv").read_bytes()
+
+    def test_single_takes_n_trials_from_any_source(self, tmp_path):
+        # the one-trial default of single yields to --trials, to the
+        # config file and to --set, so a multi-trial snapshot re-runs
+        d1, d2, d3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+        code, _, err = run(["--out", str(d1), *FAST, "--trials", "3",
+                            "single"])
+        assert code == EXIT_OK, err
+        code, _, err = run(["--out", str(d2), "--config",
+                            str(d1 / "config.snapshot.json"), "single"])
+        assert code == EXIT_OK, err
+        for name in ("trials.csv", "aggregates.csv", "config.snapshot.json"):
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+        code, _, err = run(["--out", str(d3), *FAST, "--set", "n_trials=3",
+                            "single"])
+        assert code == EXIT_OK, err
+        assert (d3 / "trials.csv").read_bytes() == \
+            (d1 / "trials.csv").read_bytes()
+        assert len((d3 / "trials.csv").read_text().splitlines()) == 1 + 3 * 2
 
     def test_snapshot_matches_effective_config(self, tmp_path):
         run(["--out", str(tmp_path), "--seed", "5", *FAST, "single"])
@@ -379,6 +399,28 @@ class TestRunCli:
             assert main(["--out", str(tmp_path), "--set", "n_ues=0",
                          "single"]) == EXIT_CONFIG
         assert err.getvalue().startswith("configuration error: ")
+
+
+def test_module_entry_point(tmp_path):
+    # python -m ambcsim.cli: the summary on stdout, a refusal on stderr
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(ambcsim.__file__).resolve().parents[1])]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def entry(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "ambcsim.cli", "--out", str(tmp_path),
+             *argv], capture_output=True, text=True, env=env, timeout=120)
+
+    ok = entry("--trials", "1", "--set", "n_ues=5", "--set", "n_tags=2",
+               "single")
+    assert ok.returncode == EXIT_OK, ok.stderr
+    assert ok.stdout.startswith("trial 0 baseline: ee=")
+    assert "mean triad-vs-baseline improvement" in ok.stdout
+    refused = entry("--set", "n_ues=0", "single")
+    assert refused.returncode == EXIT_CONFIG
+    assert refused.stderr.startswith("configuration error: n_ues")
+    assert refused.stdout == ""
 
 
 def test_cli_imports_without_scipy():

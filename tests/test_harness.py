@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import fractions
 import math
 import tracemalloc
 import warnings
@@ -443,12 +444,31 @@ class TestValidationOnEveryPath:
         (ChannelParams, dict(reflection_coeff=True),
          "^reflection_coeff must be a real number, got True$"),
         (ChannelParams, dict(noise_psd="-174"), "^noise_psd must be a real"),
+        (SimConfig, dict(p_max=math.inf), "^p_max must be finite$"),
+        (SimConfig, dict(p_max=math.nan), "^p_max must be finite$"),
+        (ChannelParams, dict(carrier_freq=math.inf),
+         "^carrier_freq must be finite$"),
+        (ChannelParams, dict(carrier_freq=math.nan),
+         "^carrier_freq must be finite$"),
     ])
     def test_wrong_type_refused_by_key(self, cls, kwargs, message):
-        # the CLI refuses these before it builds a config
-        error = ConfigError if cls is SimConfig else ValueError
-        with pytest.raises(error, match=message):
+        # the CLI refuses most of these before it builds a config
+        with pytest.raises(ConfigError, match=message):
             cls(**kwargs)
+
+    @pytest.mark.parametrize("cls, key, value", [
+        (SimConfig, "p_max", np.float64(0.1)),
+        (SimConfig, "p_max", fractions.Fraction(1, 5)),
+        (ChannelParams, "carrier_freq", np.float64(2.4e9)),
+        (ChannelParams, "carrier_freq", fractions.Fraction(24 * 10 ** 8)),
+    ])
+    def test_any_finite_real_accepted(self, cls, key, value):
+        # the check is numbers.Real, not float
+        assert getattr(cls(**{key: value}), key) == value
+
+    def test_config_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SimConfig().n_ues = 5
 
     def test_negative_tag_count_rejected(self):
         with pytest.raises(ConfigError,

@@ -72,9 +72,9 @@ class TestClosedFormClusterPowers:
     def test_two_ue_recursion(self):
         g1, g2, gamma, noise = 2e-9, 5e-10, 3.0, 1e-15
         p = closed_form_cluster_powers([g1, g2], [gamma, gamma], noise)
-        assert p[1] == pytest.approx(gamma * noise / g2, rel=1e-12)
+        assert p[1] == pytest.approx(gamma * noise / g2, rel=1e-12, abs=0)
         assert p[0] == pytest.approx(gamma * noise * (1 + gamma) / g1,
-                                     rel=1e-12)
+                                     rel=1e-12, abs=0)
 
     def test_zero_demand_cluster(self):
         p = closed_form_cluster_powers([1e-9, 2e-9, 3e-9], [0, 0, 0], 1e-15)
