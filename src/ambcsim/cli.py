@@ -39,7 +39,8 @@ def _coerce(key, raw):
                 raise ValueError("expected an integer")
             return int(raw)
         return float(raw)
-    except (TypeError, ValueError) as exc:
+    # OverflowError: a JSON integer too large for a float
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid value for {key!r}: {raw!r} ({exc})")
 
 

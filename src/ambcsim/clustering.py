@@ -1,11 +1,12 @@
 """User grouping on the 1-D channel-gain feature (dB).
 
-Pipeline: exact 1-D k-means by dynamic programming, which gives the
-globally optimal WCSS for every k = 1..k_max in one pass; elbow selection
-of k on that WCSS curve; the one-way ANOVA F statistic of the chosen
+Pipeline: exact 1-D k-means by dynamic programming, whose layer k gives
+the globally optimal WCSS for k clusters; elbow selection of k on that
+WCSS curve, with the layer loop stopped as soon as the curve so far
+proves the elbow's choice; the one-way ANOVA F statistic of the chosen
 partition, read off the same curve (diagnostic only); and proportional
 subcarrier allocation across clusters.  Cluster labels ascend with the
-gain.
+gain.  A plan's whole WCSS curve is computed only when it is read.
 """
 
 import functools
@@ -17,15 +18,33 @@ import numpy as np
 from .channel import ChannelState, linear_to_db
 
 
+# Slack of the elbow stop, relative to the centred features' sum of
+# squares: far above the rounding of the computed WCSS curve, which is
+# below 5e-7 of it for every config MEMORY_BUDGET admits (see
+# _elbow_settled).
+ELBOW_SLACK = 1e-5
+
+
 @dataclass
 class ClusterPlan:
-    """Result of grouping one snapshot of UEs."""
+    """Result of grouping one snapshot of UEs.
+
+    The DP behind k stops once the elbow is settled, so the optimal WCSS
+    of every k = 1..k_hi, wcss_curve, is computed from the features when
+    it is first read.
+    """
 
     k: int
     assignment: np.ndarray            # per-UE cluster index in [0, k)
-    wcss_curve: list                  # optimal WCSS for k = 1, 2, ...
     f_statistic: float                # nan when k = 1
     subcarriers_per_cluster: np.ndarray
+    features: np.ndarray              # per-UE gain in dB, the DP's input
+    k_hi: int                         # k was chosen from 1..k_hi
+
+    @functools.cached_property
+    def wcss_curve(self):
+        """Optimal WCSS for k = 1..k_hi."""
+        return _optimal_splits(self.features, self.k_hi)[1]
 
 
 @functools.lru_cache(maxsize=1)
@@ -43,8 +62,8 @@ def _grid(n):
     return rows, divisor, empty
 
 
-def _optimal_splits(features, k_max):
-    """Exact 1-D k-means for every k = 1..k_max in one dynamic program.
+def _optimal_splits(features, k_max, until_elbow=False):
+    """Exact 1-D k-means for k = 1..k_max in one dynamic program.
 
     On sorted data an optimal partition is a set of contiguous runs, so
     with cost(i, j) the squared deviation of sorted x[i:j] from its mean,
@@ -52,8 +71,15 @@ def _optimal_splits(features, k_max):
     R Journal 2011).  Returns (order, wcss, splits): the stable sort order
     of the features, the optimal WCSS for each k, and for each k the
     argmin table from which the partition is traced back; ties break
-    toward the earliest split.  The table of k = k_max holds only its
-    entry n, the one a trace-back reads.
+    toward the earliest split.
+
+    Layer k computes its row n first: the argmin that a trace-back from
+    k starts at, and W_k.  The loop stops there at k = k_max or, with
+    until_elbow, once W_1..W_k prove the k that elbow_select_k picks on
+    all k_max entries (see _elbow_settled); otherwise it fills the whole
+    layer, which the next layer and every trace-back through k read.  So
+    the last table holds only its entry n, and with until_elbow the
+    curve may end before k_max.
     """
     x = np.asarray(features, dtype=float).ravel()
     n = x.size
@@ -80,20 +106,68 @@ def _optimal_splits(features, k_max):
     best = cost[:, 0] + 0.0
     splits = [np.zeros(n + 1, dtype=np.intp)]
     wcss = [float(best[n])]
-    for _ in range(k_max - 2):
-        np.add(cost, best, out=layer)
+    slack = ELBOW_SLACK * float(s2[n])
+    row = layer[n]
+    for k in range(2, k_max + 1):
+        np.add(cost[n], best, out=row)
+        end = row.argmin()
+        wcss.append(float(row[end]))
+        if k == k_max or until_elbow and _elbow_settled(wcss, k_max, slack):
+            split = np.zeros(n + 1, dtype=np.intp)
+            split[n] = end
+            splits.append(split)
+            break
+        np.add(cost[:n], best, out=layer[:n])
         split = layer.argmin(axis=1)
         best = layer.take(split + rows)  # flat: faster than layer[j, split]
         splits.append(split)
-        wcss.append(float(best[n]))
-    if k_max > 1:
-        # the last layer: only row n is read
-        row = cost[n] + best
-        split = np.zeros(n + 1, dtype=np.intp)
-        split[n] = row.argmin()
-        splits.append(split)
-        wcss.append(float(row[split[n]]))
     return order, wcss, splits
+
+
+def _elbow_settled(curve, k_hi, slack):
+    """Whether the first K entries of a computed WCSS curve fix the k
+    that elbow_select_k picks on all k_hi of them.
+
+    The exact optimal WCSS W_k never rises with k and is never negative.
+    So the second differences not yet known are bounded: second(K) =
+    W_{K-1} - 2 W_K + W_{K+1} <= W_{K-1} - W_K, and for K < k < k_hi,
+    second(k) <= W_{k-1} - W_k <= W_K.  If the best known one, over k =
+    2..K-1, beats that bound by more than slack, no later k can win or
+    tie it (ties go to the smaller k).  Such a curve is not flat either,
+    so the k = 1 rule cannot differ.  Stopping needs W_1..W_K finite:
+    where the features are not, every layer runs.
+
+    The slack covers the rounding of the computed curve.  Let u = 2^-53,
+    T the sum of the centred features squared (s2[n]), n the UE count
+    and k <= k_hi <= n, and take the centred features as exact.  The
+    computed W_k is the minimum, over the same partitions as the exact
+    optimum, of each partition's computed sum of k run costs, so it is
+    within E of the optimum if every such sum is.  The sequential prefix
+    sums are within (n + 1) u T (s2) and n u sum|x| <= n u sqrt(n T)
+    (s1) of exact.  A run's cost, S2 - S1^2 / L over its L points, so
+    takes up to 2 (n + 1) u T from its S2 difference, and from its S1
+    difference, off by up to 2 n u sqrt(n T), up to 4 n u sqrt(n T)
+    |S1| / L plus a term in u^2.  Over the k runs, |S1| / L, the runs'
+    absolute means, sums to at most sqrt(k T), and S2 and S1^2 / L each
+    to at most T.  With the rounding of each difference, square,
+    quotient and clamp, and of the DP's k-term sums, E = (4 n sqrt(n k)
+    + 2 k (n + 2) + 24) u T.  So no computed W_k with k > K lies more
+    than 2 E above the computed W_K, and no computed second difference
+    not yet known exceeds its bound by more than 4 E + 8 u T.  For
+    n <= 13100 and k <= n, more than MEMORY_BUDGET admits, that is below
+    5e-7 T, and the slack, ELBOW_SLACK s2[n], is 20 times it.  A centred
+    dB feature is 0 or far above the underflow threshold, so no rounding
+    falls below it.
+    """
+    K = len(curve)
+    if K < 3 or not all(map(math.isfinite, curve)):
+        return False
+    best = max(a - 2.0 * b + c
+               for a, b, c in zip(curve, curve[1:], curve[2:]))
+    bound = curve[-2] - curve[-1]
+    if K + 1 < k_hi:
+        bound = max(bound, curve[-1])
+    return best > bound + slack
 
 
 def _trace_back(order, splits, k):
@@ -178,21 +252,24 @@ def allocate_subcarriers(cluster_sizes, n_subcarriers):
 def group_users(channel: ChannelState, n_subcarriers, k_max=10):
     """Full grouping pipeline on the effective-gain feature in dB.
 
-    The WCSS curve and k stop at min(k_max, n, n_subcarriers), so every
-    cluster gets at least one subcarrier.  F takes the total sum of
-    squares from wcss_curve[0] and the within-cluster one from
-    wcss_curve[k - 1] of the traced partition; it is nan for k = 1 and
-    inf when the within sum is 0 (the elbow picks k < n).
+    k is chosen from 1..k_hi, k_hi = min(k_max, n, n_subcarriers), so
+    every cluster gets at least one subcarrier.  The DP stops once its
+    WCSS curve so far settles the elbow's pick (see _elbow_settled), and
+    the plan's whole curve is computed when it is read.  F takes the
+    total sum of squares from the curve's k = 1 entry and the
+    within-cluster one from its entry k of the traced partition; it is
+    nan for k = 1 and inf when the within sum is 0 (the elbow picks
+    k < n).
     """
     features = linear_to_db(channel.effective_gain)
     n = features.size
     k_hi = min(k_max, n, n_subcarriers)
 
-    order, wcss_curve, splits = _optimal_splits(features, k_hi)
-    k = elbow_select_k(wcss_curve)
+    order, wcss, splits = _optimal_splits(features, k_hi, until_elbow=True)
+    k = elbow_select_k(wcss)
     assign, sizes = _trace_back(order, splits, k)
 
-    total, within = wcss_curve[0], wcss_curve[k - 1]
+    total, within = wcss[0], wcss[k - 1]
     if k == 1:
         f_stat = math.nan
     elif within <= 0.0:
@@ -201,4 +278,4 @@ def group_users(channel: ChannelState, n_subcarriers, k_max=10):
         f_stat = (max(total - within, 0.0) / (k - 1)) / (within / (n - k))
 
     subcarriers = allocate_subcarriers(sizes, n_subcarriers)
-    return ClusterPlan(k, assign, wcss_curve, f_stat, subcarriers)
+    return ClusterPlan(k, assign, f_stat, subcarriers, features, k_hi)

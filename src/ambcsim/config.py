@@ -2,6 +2,7 @@
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field, fields, replace
 
@@ -123,15 +124,16 @@ class SimConfig:
         # n_ues, n_subcarriers) layers keeps a split table of n_ues + 1
         # indices, with up to 160 bytes for its header and its WCSS entry
         # in both modes, and the outer subtracts may take two 64 KiB ufunc
-        # buffers.  Each UE then holds up to 160 bytes more (138 in
+        # buffers.  Each UE then holds up to 160 bytes more (146 in
         # arrays): its position record (24), the first mode's assignment,
-        # power, outage and served flags (18), its four channel gains
-        # (32), its feature, sort order, centred value and prefix sums
-        # (40) and two best rows and a flat index (24); each tag holds its
-        # position record (24).  The deployment's cached links to the UAV
-        # (see channel.Deployment) hold 32 bytes more per UE and per tag,
-        # its coordinate rows (24) and link gain (8), live from the
-        # triad's channel call through the baseline's DP.
+        # feature (its plan keeps it), power, outage and served flags
+        # (26), its four channel gains (32), its feature, sort order,
+        # centred value and prefix sums (40) and two best rows and a flat
+        # index (24); each tag holds its position record (24).  The
+        # deployment's cached links to the UAV (see channel.Deployment)
+        # hold 32 bytes more per UE and per tag, its coordinate rows (24)
+        # and link gain (8), live from the triad's channel call through
+        # the baseline's DP.
         # The UE x tag block holds 10 bytes per pair at its peak: the
         # float bound, the keep mask and the far-pair compare before it
         # joins the mask.  Each UE and tag holds up to 128 bytes more in
@@ -145,8 +147,10 @@ class SimConfig:
         # + 8 (n_ues + 1) bytes, stay live through the channel.  A trial
         # needs the larger of the two counts, and a refusal names the
         # keys of that one.
-        n, m = self.n_ues, self.n_tags
-        k = min(self.k_max, n, self.n_subcarriers)
+        # in Python ints, where a numpy integer count would wrap
+        n, m, k_max, n_sub = map(operator.index, (
+            self.n_ues, self.n_tags, self.k_max, self.n_subcarriers))
+        k = min(k_max, n, n_sub)
         grid = 9 * (n + 1) ** 2 + 8 * (n + 1)
         size, keys = max(
             (25 * (n + 1) ** 2 + k * (8 * n + 168) + 192 * n + 56 * m

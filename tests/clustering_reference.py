@@ -4,10 +4,12 @@
 program over the whole (n+1)^2 cost matrix, built with fresh temporaries,
 and keeps every row of every argmin table.  ``elbow_select_k`` is the
 numpy form of the elbow rule.  ``ambcsim.clustering`` computes the first
-layer in closed form, only row n of the last layer, and the elbow on
-Python floats; its results must match these bit for bit on every finite
-curve.  ``anova_f_test`` is the two-pass one-way ANOVA F statistic of any
-partition, against which ``group_users`` reads F off its WCSS curve.
+layer in closed form and only row n of the last layer it reaches,
+stops ``group_users``'s layer loop once the elbow is proven, and runs
+the elbow on Python floats; its curves, k and partitions must match
+these bit for bit on every finite curve.  ``anova_f_test`` is the
+two-pass one-way ANOVA F statistic of any partition, against which
+``group_users`` reads F off its WCSS curve.
 ``allocate_subcarriers`` is the numpy form of the largest-remainder
 split, which ``ambcsim.clustering`` runs on Python ints and floats; the
 two must agree bit for bit.

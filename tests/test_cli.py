@@ -339,6 +339,22 @@ class TestRunCli:
         assert f"invalid value for {key!r}" in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("key, text", [
+        ("p_max", '{"p_max": 1%s}' % ("0" * 400)),
+        ("carrier_freq", '{"channel": {"carrier_freq": 1%s}}' % ("0" * 400)),
+    ], ids=["p_max", "carrier_freq"])
+    def test_integer_too_large_for_float_exit_2(self, tmp_path, key, text):
+        # 10**400 as a JSON integer: float() of it overflows
+        config = tmp_path / "c.json"
+        config.write_text(text)
+        code, _, err = run(["--out", str(tmp_path / "r"), "--config",
+                            str(config), "single"])
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"configuration error: invalid value for "
+                              f"{key!r}: 1000")
+        assert "int too large to convert to float" in err
+        assert not (tmp_path / "r").exists()
+
     def test_non_utf8_config_file_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff\xfe{}")

@@ -44,6 +44,54 @@ def state_from_db(gains_db):
                         best_tag_index=np.full(lin.size, -1))
 
 
+# Tight clusters, as (gaps between them in dB, sizes), whose WCSS elbow
+# is at k = 2, 3, 4 and 5 (found by a search; none above 5 turned up)
+ELBOW_TEMPLATES = [
+    ([1.0], [5, 5]),
+    ([0.79, 0.79], [1, 16, 1]),
+    ([1.25, 0.359, 1.094], [1, 16, 16, 1]),
+    ([1.934, 0.413, 0.53, 1.749], [1, 22, 60, 9, 1]),
+]
+
+
+@st.composite
+def grouping_inputs(draw):
+    """(gains in dB, k_max, n_subcarriers) of every shape the elbow stop
+    meets: elbows at 2..5, a near-tie of the stop's test, mixtures, small
+    integers (exact ties), constant gains, and k_hi <= 3."""
+    kind = draw(st.sampled_from(["template", "near tie", "template",
+                                 "mixture", "near tie", "integers",
+                                 "constant"]))
+    level = draw(st.floats(-120.0, -60.0))
+    scale = draw(st.sampled_from([1e-6, 0.1, 1.0, 10.0]))
+    jitter = draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "template":
+        gaps, sizes = draw(st.sampled_from(ELBOW_TEMPLATES))
+    elif kind == "near tie":
+        # sizes a, 2a, a at -1, 0, 1 + eps: the stop's first test, W_1 -
+        # 2 W_2 + W_3 against W_2 - W_3 (W_3 = 0), is a tie at eps = 0
+        a = draw(st.integers(1, 4))
+        eps = draw(st.sampled_from([0.0, 1e-8, -1e-8, 1e-6, -1e-6, 1e-5,
+                                    -1e-5, 1e-4, -1e-4]))
+        gaps, sizes = [1.0, 1.0 + eps], [a, 2 * a, a]
+    elif kind == "mixture":
+        m = draw(st.integers(1, 6))
+        gaps = draw(st.lists(st.floats(0.0, 30.0), min_size=m - 1,
+                             max_size=m - 1))
+        sizes = draw(st.lists(st.integers(1, 8), min_size=m, max_size=m))
+        jitter = draw(st.sampled_from([jitter, 1.0, 8.0]))
+    elif kind == "integers":
+        values = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=40))
+        gaps, sizes = np.ones(6), np.bincount(np.add(values, 3), minlength=7)
+    else:
+        gaps, sizes = [], [draw(st.integers(1, 30))]
+    centres = np.repeat(np.concatenate(([0.0], np.cumsum(gaps))), sizes)
+    db = level + scale * (centres + rng.normal(0.0, jitter, centres.size))
+    return (db, draw(st.sampled_from([10, 6, 5, 4, 3, 2, 1, 7, 8, 9])),
+            draw(st.sampled_from([128, 128, 128, 3, 2, 1])))
+
+
 class TestKmeans:
     def test_two_separated_pairs(self):
         assign, centroids, wcss = kmeans([0.0, 0.0, 10.0, 10.0], 2)
@@ -192,6 +240,82 @@ class TestOptimalSplitsAgainstReference:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * 8 * (n + 1) ** 2
+
+
+class TestElbowStop:
+    """group_users stops its DP once the WCSS curve so far settles the
+    elbow, and gives what the full DP and the elbow give."""
+
+    def test_two_clusters_stop_after_layer_three(self):
+        rng = np.random.default_rng(71)
+        state = state_from_db(np.concatenate([rng.normal(-100.0, 0.5, 20),
+                                              rng.normal(-80.0, 0.5, 20)]))
+        features = linear_to_db(state.effective_gain)
+        _, wcss, splits = clustering._optimal_splits(features, 10,
+                                                     until_elbow=True)
+        full = clustering._optimal_splits(features, 10)[1]
+        assert len(wcss) == len(splits) == 3
+        assert wcss == full[:3]
+        plan = group_users(state, 128, k_max=10)
+        assert plan.k == 2
+        assert len(plan.wcss_curve) == 10
+        for k, w in enumerate(plan.wcss_curve, start=1):
+            assert w == kmeans(features, k)[2]
+
+    @pytest.mark.parametrize("curve, k_hi, slack, settled", [
+        ([100.0, 10.0, 9.0], 10, 0.0, True),    # 91 against max(1, 9)
+        ([100.0, 10.0, 9.0], 10, 82.0, False),  # a tie inside the slack
+        ([100.0, 60.0, 55.0], 10, 0.0, False),  # 35 against max(5, 55)
+        ([100.0, 60.0, 55.0], 4, 0.0, True),    # no k > 3 below k_hi: 5
+        ([100.0, 10.0], 10, 0.0, False),        # no second difference yet
+        ([math.inf, 10.0, 9.0], 10, 0.0, False),
+        ([math.nan, 10.0, 9.0], 10, 0.0, False),
+    ])
+    def test_settled_bound(self, curve, k_hi, slack, settled):
+        assert clustering._elbow_settled(curve, k_hi, slack) is settled
+
+    @pytest.mark.parametrize("gain", [math.inf, 0.0, math.nan])
+    def test_non_finite_features_run_every_layer(self, gain):
+        # the refusal shows the whole curve, all 5 layers of it
+        g = np.array([1e-9, 2e-9, gain, 1e-10, 3e-9])
+        state = ChannelState(direct_gain=g, backscatter_gain=np.zeros(5),
+                             effective_gain=g, best_tag_index=np.full(5, -1))
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match=r"^WCSS curve must be finite, got "
+                                  r"\[nan, nan, nan, nan, nan\]$"):
+            group_users(state, 128, k_max=10)
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(inputs=grouping_inputs())
+    def test_same_plan_as_every_layer(self, inputs):
+        db, k_max, n_subcarriers = inputs
+        state = state_from_db(db)
+        plan = group_users(state, n_subcarriers, k_max=k_max)
+
+        x = linear_to_db(state.effective_gain)
+        n = x.size
+        k_hi = min(k_max, n, n_subcarriers)
+        order, wcss, splits = reference.optimal_splits(x, k_hi)
+        k = reference.elbow_select_k(wcss)
+        assign, sizes = clustering._trace_back(order, splits, k)
+        total, within = wcss[0], wcss[k - 1]
+        if k == 1:
+            f_stat = math.nan
+        elif within <= 0.0:
+            f_stat = math.inf
+        else:
+            f_stat = ((max(total - within, 0.0) / (k - 1))
+                      / (within / (n - k)))
+        assert plan.k == k
+        assert np.array_equal(plan.assignment, assign)
+        assert (np.float64(plan.f_statistic).tobytes()
+                == np.float64(f_stat).tobytes())
+        assert np.array_equal(plan.subcarriers_per_cluster,
+                              reference.allocate_subcarriers(sizes,
+                                                             n_subcarriers))
+        assert np.array(plan.wcss_curve).tobytes() == \
+            np.array(wcss).tobytes()
 
 
 class TestElbowSelectK:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ambcsim.channel import ChannelParams, a2g_path_loss
 from ambcsim.config import ConfigError, SimConfig, _cell_gains
-from ambcsim import harness
+from ambcsim import clustering, harness
 from ambcsim.harness import (Aggregate, EeReport, derive_trial_seed,
                              run_trial, sample_deployment, sweep,
                              write_results)
@@ -497,6 +497,20 @@ class TestValidationOnEveryPath:
         with pytest.raises(ConfigError, match=f"^{keys} would need"):
             SimConfig(n_ues=n_ues, n_tags=n_tags)
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_ues", 10 ** 12), ("n_tags", 2 ** 62)])
+    def test_numpy_integer_counts_do_not_wrap(self, key, value):
+        # in int64 the byte count of these wraps, with only an overflow
+        # RuntimeWarning; it must refuse them as it does Python ints
+        with pytest.raises(ConfigError, match=" would need ") as python:
+            SimConfig(**{key: value})
+        with pytest.raises(ConfigError, match=key) as numpy_int:
+            SimConfig(**{key: np.int64(value)})
+        assert str(numpy_int.value) == str(python.value)
+        # the field keeps the value it was given
+        assert type(getattr(SimConfig(**{key: np.int64(12)}), key)) \
+            is np.int64
+
     @pytest.mark.parametrize("n", [13_106, 11_403, 11_402])
     def test_split_tables_over_memory_budget_rejected(self, n):
         # at 13106 the split tables alone would add about 1.37 GB
@@ -513,21 +527,30 @@ class TestValidationOnEveryPath:
         # (687 + 613120) + 9 * 688^2 + 8 * 688 is the whole of 2^32
         SimConfig(n_ues=687, n_tags=613_120)
 
-    @pytest.mark.parametrize("kwargs, keys", [
-        (dict(n_ues=1, n_tags=200_000), "n_ues and n_tags"),
-        (dict(n_ues=300, n_tags=3000), "n_ues and n_tags"),
-        # 300 split tables of 301 indices
-        (dict(n_ues=300, n_tags=10, k_max=300, n_subcarriers=300), DP_KEYS),
-        (dict(n_ues=3000, n_tags=100), DP_KEYS),
-        (dict(n_ues=3000, n_tags=4800), DP_KEYS),
-    ], ids=["1-200000", "300-3000", "300-10-k300", "3000-100", "3000-4800"])
+    @pytest.mark.parametrize("kwargs, keys, every_layer", [
+        (dict(n_ues=1, n_tags=200_000), "n_ues and n_tags", False),
+        (dict(n_ues=300, n_tags=3000), "n_ues and n_tags", False),
+        # 300 split tables of 301 indices, counted; the DP stops once the
+        # elbow is settled, or with no stop fills every layer
+        (dict(n_ues=300, n_tags=10, k_max=300, n_subcarriers=300), DP_KEYS,
+         False),
+        (dict(n_ues=3000, n_tags=100), DP_KEYS, False),
+        (dict(n_ues=3000, n_tags=4800), DP_KEYS, False),
+        (dict(n_ues=3000, n_tags=10, k_max=3000, n_subcarriers=3000),
+         DP_KEYS, False),
+        (dict(n_ues=300, n_tags=10, k_max=300, n_subcarriers=300), DP_KEYS,
+         True),
+    ], ids=["1-200000", "300-3000", "300-10-k300", "3000-100", "3000-4800",
+            "3000-10-k3000", "300-10-k300-every-layer"])
     def test_trial_peak_within_counted_bytes(self, monkeypatch, kwargs,
-                                             keys):
+                                             keys, every_layer):
         # A budget one byte under what a trial took must refuse it.  The
         # warm-up imports and caches at a small n, so the DP's n-only
         # constants are built inside the first measured trial, as in the
         # first trial of every sweep point, and stay live through the
         # second, as in every later one; the peak covers both.
+        if every_layer:
+            monkeypatch.setattr(clustering, "ELBOW_SLACK", math.inf)
         config = SimConfig(**kwargs)
         run_trial(small_config(), 3)
         tracemalloc.start()
