@@ -44,6 +44,13 @@ def _coerce(key, raw):
         raise ConfigError(f"invalid value for {key!r}: {raw!r} ({exc})")
 
 
+def _json_int(digits):
+    try:  # past int()'s digit limit, _coerce refuses the digits by key
+        return int(digits)
+    except ValueError:
+        return digits
+
+
 def _merge(base: dict, updates: dict) -> dict:
     for key, value in updates.items():
         if key == "channel":
@@ -84,7 +91,7 @@ def build_effective_config(config_path=None, overrides=(), seed=None,
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {config_path}: {exc}")
         try:
-            data = json.loads(text)
+            data = json.loads(text, parse_int=_json_int)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {config_path} is not valid "
                               f"JSON: {exc}")

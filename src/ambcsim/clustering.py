@@ -2,11 +2,12 @@
 
 Pipeline: exact 1-D k-means by dynamic programming, whose layer k gives
 the globally optimal WCSS for k clusters; elbow selection of k on that
-WCSS curve, with the layer loop stopped as soon as the curve so far
-proves the elbow's choice; the one-way ANOVA F statistic of the chosen
-partition, read off the same curve (diagnostic only); and proportional
-subcarrier allocation across clusters.  Cluster labels ascend with the
-gain.  A plan's whole WCSS curve is computed only when it is read.
+WCSS curve, with the layer loop stopped once the curve so far proves
+the elbow's choice, mostly at W_2, before any (n + 1)^2 cost matrix is
+built; the one-way ANOVA F statistic of the chosen partition, read off
+the same curve (diagnostic only); and proportional subcarrier
+allocation across clusters.  Cluster labels ascend with the gain.  A
+plan's whole WCSS curve is computed only when it is read.
 """
 
 import functools
@@ -47,19 +48,22 @@ class ClusterPlan:
         return _optimal_splits(self.features, self.k_hi)[1]
 
 
-@functools.lru_cache(maxsize=1)
-def _grid(n):
-    """Read-only constants of the DP on n points: each row's flat offset
-    (n + 1) j, the divisor max(j - i, 1) and the mask of empty runs j <= i,
-    each (j, i).  One entry suffices: a sweep point's trials share n."""
-    ends = np.arange(n + 1)
-    length = np.subtract.outer(ends, ends)
-    divisor = np.maximum(length, 1).astype(float)
-    empty = length <= 0
-    rows = ends * (n + 1)
-    for a in (rows, divisor, empty):
-        a.flags.writeable = False
-    return rows, divisor, empty
+def _cost(s1, s2, ends, starts):
+    """Cost of sorted x[i:j] for j in ends and i in starts, index arrays
+    or indices that broadcast (a column of ends gives the matrix), from
+    the prefix sums: clamped at 0, inf where j <= i.  Every block gets
+    the same bits."""
+    length = np.subtract(ends, starts, dtype=float)
+    empty = length <= 0.0
+    np.maximum(length, 1.0, out=length)
+    dev = s1[ends] - s1[starts]
+    np.square(dev, out=dev)
+    dev /= length
+    cost = np.subtract(s2[ends], s2[starts], out=length)
+    cost -= dev
+    np.maximum(cost, 0.0, out=cost)
+    np.copyto(cost, np.inf, where=empty)
+    return cost
 
 
 def _optimal_splits(features, k_max, until_elbow=False):
@@ -68,18 +72,20 @@ def _optimal_splits(features, k_max, until_elbow=False):
     On sorted data an optimal partition is a set of contiguous runs, so
     with cost(i, j) the squared deviation of sorted x[i:j] from its mean,
     D_k[j] = min_i D_{k-1}[i] + cost(i, j) (Wang & Song, "Ckmeans.1d.dp",
-    R Journal 2011).  Returns (order, wcss, splits): the stable sort order
-    of the features, the optimal WCSS for each k, and for each k the
-    argmin table from which the partition is traced back; ties break
-    toward the earliest split.
+    R Journal 2011).  Returns (order, wcss, splits, pick): the stable sort
+    order of the features, the optimal WCSS for each k, for each k the
+    argmin table from which the partition is traced back (ties break
+    toward the earliest split), and the elbow's pick where until_elbow
+    settled it before k_max, else 0.
 
-    Layer k computes its row n first: the argmin that a trace-back from
-    k starts at, and W_k.  The loop stops there at k = k_max or, with
-    until_elbow, once W_1..W_k prove the k that elbow_select_k picks on
-    all k_max entries (see _elbow_settled); otherwise it fills the whole
-    layer, which the next layer and every trace-back through k read.  So
-    the last table holds only its entry n, and with until_elbow the
-    curve may end before k_max.
+    D_1 is column 0 of the cost (every split is 0), and layer k first
+    computes its row n from row n of the cost, both in O(n): the argmin
+    that a trace-back from k starts at, and W_k.  The loop stops there at
+    k = k_max or, with until_elbow, once W_1..W_k settle the elbow's pick
+    (see _elbow_settled); otherwise it fills the whole layer, which the
+    next layer and every trace-back through k read, from the (n + 1)^2
+    cost matrix, built at the first such layer.  So the last table holds
+    only its entry n.
     """
     x = np.asarray(features, dtype=float).ravel()
     n = x.size
@@ -91,51 +97,47 @@ def _optimal_splits(features, k_max, until_elbow=False):
     s1, s2 = np.zeros(n + 1), np.zeros(n + 1)  # prefix sums, led by 0
     xs.cumsum(out=s1[1:])
     (xs * xs).cumsum(out=s2[1:])
-    rows, divisor, empty = _grid(n)
-    # cost[j, i] is that of x[i:j], built in place; layer is its scratch
-    cost = np.subtract.outer(s2, s2)
-    layer = np.subtract.outer(s1, s1)
-    np.square(layer, out=layer)
-    layer /= divisor
-    cost -= layer
-    np.maximum(cost, 0.0, out=cost)
-    np.copyto(cost, np.inf, where=empty)
-
-    # D_1 = min_i cost[:, i] + D_0[i], and only D_0[0] = 0.0 is finite:
-    # every split is 0
-    best = cost[:, 0] + 0.0
+    ends = np.arange(n + 1)
+    tail = _cost(s1, s2, n, ends)  # row n, the cost of each x[i:n]
+    best = _cost(s1, s2, ends, 0)  # D_1: only D_0[0] = 0 is finite
     splits = [np.zeros(n + 1, dtype=np.intp)]
     wcss = [float(best[n])]
     slack = ELBOW_SLACK * float(s2[n])
-    row = layer[n]
+    pick, cost = 0, None
     for k in range(2, k_max + 1):
-        np.add(cost[n], best, out=row)
+        row = tail + best
         end = row.argmin()
         wcss.append(float(row[end]))
-        if k == k_max or until_elbow and _elbow_settled(wcss, k_max, slack):
+        pick = _elbow_settled(wcss, k_max, slack) if until_elbow else 0
+        if k == k_max or pick:
             split = np.zeros(n + 1, dtype=np.intp)
             split[n] = end
             splits.append(split)
             break
-        np.add(cost[:n], best, out=layer[:n])
+        if cost is None:  # cost[j, i] is that of x[i:j]
+            cost = _cost(s1, s2, ends[:, None], ends)
+            layer, rows = np.empty_like(cost), ends * (n + 1)  # flat offsets
+        np.add(cost, best, out=layer)
         split = layer.argmin(axis=1)
         best = layer.take(split + rows)  # flat: faster than layer[j, split]
         splits.append(split)
-    return order, wcss, splits
+    return order, wcss, splits, pick
 
 
 def _elbow_settled(curve, k_hi, slack):
-    """Whether the first K entries of a computed WCSS curve fix the k
-    that elbow_select_k picks on all k_hi of them.
+    """The k that elbow_select_k picks on all k_hi entries of a computed
+    WCSS curve, where its first K entries fix it, else 0.
 
     The exact optimal WCSS W_k never rises with k and is never negative.
-    So the second differences not yet known are bounded: second(K) =
-    W_{K-1} - 2 W_K + W_{K+1} <= W_{K-1} - W_K, and for K < k < k_hi,
-    second(k) <= W_{k-1} - W_k <= W_K.  If the best known one, over k =
-    2..K-1, beats that bound by more than slack, no later k can win or
-    tie it (ties go to the smaller k).  Such a curve is not flat either,
-    so the k = 1 rule cannot differ.  Stopping needs W_1..W_K finite:
-    where the features are not, every layer runs.
+    So the second differences not yet known are bounded: W_{K-1} - 2 W_K
+    <= second(K) <= W_{K-1} - W_K, and for K < k < k_hi, second(k) <=
+    W_{k-1} - W_k <= W_K.  If the best known one, over k = 2..K-1, beats
+    the upper bounds by more than slack, no later k can win or tie it
+    (ties go to the smaller k).  If K < k_hi and second(K)'s lower bound
+    beats the best known one, 0 and the later bound by more than slack,
+    K wins.  Neither curve is flat, so the k = 1 rule cannot differ.
+    Settling needs W_1..W_K finite: where the features are not, every
+    layer runs.
 
     The slack covers the rounding of the computed curve.  Let u = 2^-53,
     T the sum of the centred features squared (s2[n]), n the UE count
@@ -153,21 +155,27 @@ def _elbow_settled(curve, k_hi, slack):
     quotient and clamp, and of the DP's k-term sums, E = (4 n sqrt(n k)
     + 2 k (n + 2) + 24) u T.  So no computed W_k with k > K lies more
     than 2 E above the computed W_K, and no computed second difference
-    not yet known exceeds its bound by more than 4 E + 8 u T.  For
+    not yet known exceeds its upper bound by more than 4 E + 8 u T.  For
     n <= 13100 and k <= n, more than MEMORY_BUDGET admits, that is below
-    5e-7 T, and the slack, ELBOW_SLACK s2[n], is 20 times it.  A centred
-    dB feature is 0 or far above the underflow threshold, so no rounding
+    5e-7 T, and the slack, ELBOW_SLACK s2[n], is 20 times it.  The lower
+    bound of second(K) needs none: each computed cost is clamped at 0, so
+    the computed W_{K+1} >= 0, and rounding is monotone.  A centred dB
+    feature is 0 or far above the underflow threshold, so no rounding
     falls below it.
     """
     K = len(curve)
-    if K < 3 or not all(map(math.isfinite, curve)):
-        return False
-    best = max(a - 2.0 * b + c
-               for a, b, c in zip(curve, curve[1:], curve[2:]))
-    bound = curve[-2] - curve[-1]
-    if K + 1 < k_hi:
-        bound = max(bound, curve[-1])
-    return best > bound + slack
+    if not all(map(math.isfinite, curve)):
+        return 0
+    second = [a - 2.0 * b + c
+              for a, b, c in zip(curve, curve[1:], curve[2:])]
+    known = max(second, default=-math.inf)
+    later = curve[-1] if K + 1 < k_hi else -math.inf  # k in (K, k_hi)
+    if known > max(curve[-2] - curve[-1], later) + slack:
+        return second.index(known) + 2
+    if K < k_hi and (curve[-2] - 2.0 * curve[-1]
+                     > max(known, later, 0.0) + slack):
+        return K
+    return 0
 
 
 def _trace_back(order, splits, k):
@@ -195,7 +203,7 @@ def kmeans(features, k):
         raise ValueError("empty feature vector")
     if not 1 <= k <= x.size:
         raise ValueError(f"k must be in [1, {x.size}], got {k}")
-    order, wcss, splits = _optimal_splits(x, k)
+    order, wcss, splits, _ = _optimal_splits(x, k)
     assign, sizes = _trace_back(order, splits, k)
     centroids = np.bincount(assign, weights=x, minlength=k) / sizes
     return assign, centroids, wcss[k - 1]
@@ -254,8 +262,9 @@ def group_users(channel: ChannelState, n_subcarriers, k_max=10):
 
     k is chosen from 1..k_hi, k_hi = min(k_max, n, n_subcarriers), so
     every cluster gets at least one subcarrier.  The DP stops once its
-    WCSS curve so far settles the elbow's pick (see _elbow_settled), and
-    the plan's whole curve is computed when it is read.  F takes the
+    WCSS curve so far settles the elbow's pick, and returns it where the
+    curve it stopped on cannot show it (see _elbow_settled); the plan's
+    whole curve is computed when it is read.  F takes the
     total sum of squares from the curve's k = 1 entry and the
     within-cluster one from its entry k of the traced partition; it is
     nan for k = 1 and inf when the within sum is 0 (the elbow picks
@@ -265,8 +274,9 @@ def group_users(channel: ChannelState, n_subcarriers, k_max=10):
     n = features.size
     k_hi = min(k_max, n, n_subcarriers)
 
-    order, wcss, splits = _optimal_splits(features, k_hi, until_elbow=True)
-    k = elbow_select_k(wcss)
+    order, wcss, splits, pick = _optimal_splits(features, k_hi,
+                                                until_elbow=True)
+    k = pick or elbow_select_k(wcss)
     assign, sizes = _trace_back(order, splits, k)
 
     total, within = wcss[0], wcss[k - 1]

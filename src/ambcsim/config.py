@@ -118,18 +118,19 @@ class SimConfig:
                               f"n_subcarriers give a noise floor of "
                               f"{lowest:.6g} W on one subcarrier, below "
                               f"the smallest normal float")
-        # At its peak, in a trial's second mode, the grouping DP holds 25
-        # bytes per (n_ues + 1)^2 entry: two float buffers, the cached
-        # divisor and the empty-run mask.  Each of its k = min(k_max,
-        # n_ues, n_subcarriers) layers keeps a split table of n_ues + 1
-        # indices, with up to 160 bytes for its header and its WCSS entry
-        # in both modes, and the outer subtracts may take two 64 KiB ufunc
-        # buffers.  Each UE then holds up to 160 bytes more (146 in
-        # arrays): its position record (24), the first mode's assignment,
-        # feature (its plan keeps it), power, outage and served flags
-        # (26), its four channel gains (32), its feature, sort order,
-        # centred value and prefix sums (40) and two best rows and a flat
-        # index (24); each tag holds its position record (24).  The
+        # At its peak, in a trial's second mode, the grouping DP holds 17
+        # of the 25 bytes counted per (n_ues + 1)^2 entry, building its
+        # cost in the divisor beside a scratch and the empty-run mask; the
+        # other 8 cover its per-UE rows then (k >= 3, so n_ues >= 3).
+        # Each of its k = min(k_max, n_ues, n_subcarriers) layers keeps a
+        # split table of n_ues + 1 indices, with up to 160 bytes for its
+        # header and its WCSS entry in both modes, and the outer subtracts
+        # may take two 64 KiB ufunc buffers.  Each UE then holds up to 160
+        # bytes more (130 in arrays): its position record (24), the first
+        # mode's assignment, feature (its plan keeps it), power, outage
+        # and served flags (26), its four channel gains (32), its
+        # feature, sort order, centred value and prefix sums (40) and its
+        # D row (8); each tag holds its position record (24).  The
         # deployment's cached links to the UAV (see channel.Deployment)
         # hold 32 bytes more per UE and per tag, its coordinate rows (24)
         # and link gain (8), live from the triad's channel call through
@@ -142,20 +143,19 @@ class SimConfig:
         # distance, distance and elevation (24) and four loss temporaries
         # (32), or in the best-tag bound its hop-2 gain and height offset
         # (16), its matmul row (32) and, for a tag, its bound's
-        # threshold (8).  From a sweep point's second trial on, the DP's
-        # cached divisor, empty-run mask and row offsets, 9 (n_ues + 1)^2
-        # + 8 (n_ues + 1) bytes, stay live through the channel.  A trial
-        # needs the larger of the two counts, and a refusal names the
-        # keys of that one.
+        # threshold (8).  The count adds 9 (n_ues + 1)^2 + 8 (n_ues + 1)
+        # bytes, a margin no DP array takes up: the DP frees its matrices
+        # before the next channel call.  A trial needs the larger of the
+        # two counts, and a refusal names the keys of that one.
         # in Python ints, where a numpy integer count would wrap
         n, m, k_max, n_sub = map(operator.index, (
             self.n_ues, self.n_tags, self.k_max, self.n_subcarriers))
         k = min(k_max, n, n_sub)
-        grid = 9 * (n + 1) ** 2 + 8 * (n + 1)
+        margin = 9 * (n + 1) ** 2 + 8 * (n + 1)
         size, keys = max(
             (25 * (n + 1) ** 2 + k * (8 * n + 168) + 192 * n + 56 * m
              + (1 << 17), "n_ues, n_tags, k_max and n_subcarriers"),
-            (10 * n * m + 128 * (n + m) + grid, "n_ues and n_tags"))
+            (10 * n * m + 128 * (n + m) + margin, "n_ues and n_tags"))
         if size > MEMORY_BUDGET:
             raise ConfigError(f"{keys} would need {size} bytes, over the "
                               f"{MEMORY_BUDGET}-byte memory budget")

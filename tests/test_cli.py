@@ -355,6 +355,22 @@ class TestRunCli:
         assert "int too large to convert to float" in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("key, text", [
+        ("p_max", '{"p_max": 1%s}' % ("0" * 5000)),
+        ("n_ues", '{"n_ues": 1%s}' % ("0" * 5000)),
+        ("carrier_freq", '{"channel": {"carrier_freq": 1%s}}' % ("0" * 5000)),
+    ], ids=["p_max", "n_ues", "carrier_freq"])
+    def test_integer_past_the_digit_limit_exit_2(self, tmp_path, key, text):
+        # 5001 digits, past int()'s default limit of 4300
+        config = tmp_path / "c.json"
+        config.write_text(text)
+        code, _, err = run(["--out", str(tmp_path / "r"), "--config",
+                            str(config), "single"])
+        assert code == EXIT_CONFIG
+        assert err.startswith("configuration error: ")
+        assert key in err.splitlines()[0][:60]
+        assert not (tmp_path / "r").exists()
+
     def test_non_utf8_config_file_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff\xfe{}")

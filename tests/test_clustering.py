@@ -13,6 +13,8 @@ from ambcsim import clustering
 from ambcsim.channel import ChannelState, linear_to_db
 from ambcsim.clustering import (allocate_subcarriers, elbow_select_k,
                                 group_users, kmeans)
+from ambcsim.config import SimConfig
+from ambcsim.harness import sweep
 
 
 def wcss_of(features, assignment, k):
@@ -45,12 +47,17 @@ def state_from_db(gains_db):
 
 
 # Tight clusters, as (gaps between them in dB, sizes), whose WCSS elbow
-# is at k = 2, 3, 4 and 5 (found by a search; none above 5 turned up)
+# is at k = 2, 3, 4 and 5 (found by a search; none above 5 turned up),
+# then three more whose stop is the pick-K case at K = 3, 3 and 4: W_2
+# is above W_1 / 3, so W_1 and W_2 settle nothing
 ELBOW_TEMPLATES = [
     ([1.0], [5, 5]),
     ([0.79, 0.79], [1, 16, 1]),
     ([1.25, 0.359, 1.094], [1, 16, 16, 1]),
     ([1.934, 0.413, 0.53, 1.749], [1, 22, 60, 9, 1]),
+    ([1.0, 1.0], [1, 8, 1]),
+    ([1.0, 0.3, 1.0], [2, 20, 20, 2]),
+    ([1.18, 0.5, 1.31], [1, 7, 10, 1]),
 ]
 
 
@@ -69,8 +76,10 @@ def grouping_inputs(draw):
     if kind == "template":
         gaps, sizes = draw(st.sampled_from(ELBOW_TEMPLATES))
     elif kind == "near tie":
-        # sizes a, 2a, a at -1, 0, 1 + eps: the stop's first test, W_1 -
-        # 2 W_2 + W_3 against W_2 - W_3 (W_3 = 0), is a tie at eps = 0
+        # sizes a, 2a, a at -1, 0, 1 + eps: each of the stop's tests is a
+        # tie at eps = 0, W_1 - 3 W_2 against 0 at K = 2 (W_2 = W_1 / 3),
+        # then W_1 - 2 W_2 + W_3 and W_2 - 2 W_3 against W_2 - W_3 at
+        # K = 3 (W_3 = 0)
         a = draw(st.integers(1, 4))
         eps = draw(st.sampled_from([0.0, 1e-8, -1e-8, 1e-6, -1e-6, 1e-5,
                                     -1e-5, 1e-4, -1e-4]))
@@ -184,8 +193,9 @@ class TestOptimalSplitsAgainstReference:
 
     @staticmethod
     def assert_matches(x, k_max):
-        order, wcss, splits = clustering._optimal_splits(x, k_max)
+        order, wcss, splits, pick = clustering._optimal_splits(x, k_max)
         ref_order, ref_wcss, ref_splits = reference.optimal_splits(x, k_max)
+        assert pick == 0  # no stop: every layer runs
         assert np.array_equal(order, ref_order)
         assert np.array(wcss).tobytes() == np.array(ref_wcss).tobytes()
         # the tables agree wherever a trace-back reads them: in full below
@@ -228,11 +238,12 @@ class TestOptimalSplitsAgainstReference:
                 elbow_select_k(wcss)
 
     def test_peak_memory_of_a_cold_call(self):
-        # cost and layer buffers plus the cached divisor and mask: about
-        # 3.13 (n + 1)^2 doubles; the full-matrix DP needed 4.13
+        # the divisor (which then holds the cost), its scratch and the
+        # empty-run mask while the cost matrix is built, then the cost
+        # and layer buffers: about 2.15 (n + 1)^2 doubles; the
+        # full-matrix DP needed 4.13
         n = 1000
         x = np.random.default_rng(63).normal(size=n)
-        clustering._grid.cache_clear()
         tracemalloc.start()
         try:
             clustering._optimal_splits(x, 10)
@@ -246,33 +257,68 @@ class TestElbowStop:
     """group_users stops its DP once the WCSS curve so far settles the
     elbow, and gives what the full DP and the elbow give."""
 
-    def test_two_clusters_stop_after_layer_three(self):
+    def test_two_clusters_stop_after_layer_two(self):
         rng = np.random.default_rng(71)
         state = state_from_db(np.concatenate([rng.normal(-100.0, 0.5, 20),
                                               rng.normal(-80.0, 0.5, 20)]))
         features = linear_to_db(state.effective_gain)
-        _, wcss, splits = clustering._optimal_splits(features, 10,
-                                                     until_elbow=True)
+        _, wcss, splits, pick = clustering._optimal_splits(
+            features, 10, until_elbow=True)
         full = clustering._optimal_splits(features, 10)[1]
-        assert len(wcss) == len(splits) == 3
-        assert wcss == full[:3]
+        assert len(wcss) == len(splits) == pick == 2
+        assert wcss == full[:2]
         plan = group_users(state, 128, k_max=10)
         assert plan.k == 2
         assert len(plan.wcss_curve) == 10
         for k, w in enumerate(plan.wcss_curve, start=1):
             assert w == kmeans(features, k)[2]
 
-    @pytest.mark.parametrize("curve, k_hi, slack, settled", [
-        ([100.0, 10.0, 9.0], 10, 0.0, True),    # 91 against max(1, 9)
-        ([100.0, 10.0, 9.0], 10, 82.0, False),  # a tie inside the slack
-        ([100.0, 60.0, 55.0], 10, 0.0, False),  # 35 against max(5, 55)
-        ([100.0, 60.0, 55.0], 4, 0.0, True),    # no k > 3 below k_hi: 5
-        ([100.0, 10.0], 10, 0.0, False),        # no second difference yet
-        ([math.inf, 10.0, 9.0], 10, 0.0, False),
-        ([math.nan, 10.0, 9.0], 10, 0.0, False),
-    ])
-    def test_settled_bound(self, curve, k_hi, slack, settled):
-        assert clustering._elbow_settled(curve, k_hi, slack) is settled
+    # (curve, k_hi, slack, the k it settles, 0 where it does not)
+    SETTLED_CASES = [
+        ([100.0, 10.0, 9.0], 10, 0.0, 2),     # 89 against max(1, 9)
+        ([100.0, 10.0, 9.0], 10, 82.0, 0),    # 89 within the slack of 9
+        ([100.0, 60.0, 55.0], 10, 0.0, 0),    # 35 against max(5, 55)
+        ([100.0, 60.0, 55.0], 4, 0.0, 2),     # no k > 3 below k_hi: 5
+        ([100.0, 10.0], 10, 0.0, 2),          # 80 against max(0, 10)
+        ([math.inf, 10.0, 9.0], 10, 0.0, 0),
+        ([math.nan, 10.0, 9.0], 10, 0.0, 0),
+        ([100.0, 10.0], 10, 70.0, 0),         # a tie inside the slack
+        ([100.0, 10.0], 2, 0.0, 0),           # K = k_hi: never picked
+        ([100.0, 40.0], 3, 0.0, 2),           # 20 against max(0); no W_K
+        ([100.0, 40.0], 10, 0.0, 0),          # 20 against max(0, 40)
+        ([math.inf, 10.0], 10, 0.0, 0),
+        ([100.0, 90.0, 20.0], 10, 0.0, 3),    # 50 against max(-60, 20)
+        ([100.0, 90.0, 20.0], 10, 30.0, 0),   # a tie inside the slack
+        ([0.0, 0.0], 3, 0.0, 0),              # flat: the k = 1 rule
+    ]
+
+    @pytest.mark.parametrize(
+        "curve, k_hi, slack, k", SETTLED_CASES,
+        ids=[f"curve{i}-{k_hi}-{slack}-{bool(k)}"
+             for i, (_, k_hi, slack, k) in enumerate(SETTLED_CASES)])
+    def test_settled_bound(self, curve, k_hi, slack, k):
+        assert clustering._elbow_settled(curve, k_hi, slack) == k
+
+    def test_stop_rate_at_workload_settings(self, monkeypatch):
+        # Settings like the benchmark workloads': the defaults with 10 and
+        # 1000 tags, n_ues 10..100 and both modes, 700 mode evaluations.
+        # W_1 and W_2 settle k = 2 in 692 of them, with no (n + 1)^2 cost
+        # matrix built; an edit that settles fewer brings it back.
+        lengths = []
+        optimal_splits = clustering._optimal_splits
+
+        def spy(features, k_max, until_elbow=False):
+            result = optimal_splits(features, k_max, until_elbow)
+            if until_elbow:
+                lengths.append(len(result[1]))
+            return result
+
+        monkeypatch.setattr(clustering, "_optimal_splits", spy)
+        for n_tags in (10, 1000):
+            sweep(SimConfig(n_trials=25, n_tags=n_tags, seed=1), "n_ues",
+                  list(range(10, 101, 15)))
+        assert len(lengths) == 700
+        assert lengths.count(2) >= 692
 
     @pytest.mark.parametrize("gain", [math.inf, 0.0, math.nan])
     def test_non_finite_features_run_every_layer(self, gain):
@@ -285,37 +331,55 @@ class TestElbowStop:
                                   r"\[nan, nan, nan, nan, nan\]$"):
             group_users(state, 128, k_max=10)
 
-    @settings(max_examples=400, deadline=None, derandomize=True,
-              database=None)
-    @given(inputs=grouping_inputs())
-    def test_same_plan_as_every_layer(self, inputs):
-        db, k_max, n_subcarriers = inputs
-        state = state_from_db(db)
-        plan = group_users(state, n_subcarriers, k_max=k_max)
+    def test_same_plan_as_every_layer(self, monkeypatch):
+        # (K, pick) of every settled stop: pick < K is the known-best
+        # case, pick = K the pick-K one
+        stops = []
+        settled = clustering._elbow_settled
 
-        x = linear_to_db(state.effective_gain)
-        n = x.size
-        k_hi = min(k_max, n, n_subcarriers)
-        order, wcss, splits = reference.optimal_splits(x, k_hi)
-        k = reference.elbow_select_k(wcss)
-        assign, sizes = clustering._trace_back(order, splits, k)
-        total, within = wcss[0], wcss[k - 1]
-        if k == 1:
-            f_stat = math.nan
-        elif within <= 0.0:
-            f_stat = math.inf
-        else:
-            f_stat = ((max(total - within, 0.0) / (k - 1))
-                      / (within / (n - k)))
-        assert plan.k == k
-        assert np.array_equal(plan.assignment, assign)
-        assert (np.float64(plan.f_statistic).tobytes()
-                == np.float64(f_stat).tobytes())
-        assert np.array_equal(plan.subcarriers_per_cluster,
-                              reference.allocate_subcarriers(sizes,
-                                                             n_subcarriers))
-        assert np.array(plan.wcss_curve).tobytes() == \
-            np.array(wcss).tobytes()
+        def spy(curve, k_hi, slack):
+            pick = settled(curve, k_hi, slack)
+            if pick:
+                stops.append((len(curve), pick))
+            return pick
+
+        monkeypatch.setattr(clustering, "_elbow_settled", spy)
+
+        @settings(max_examples=400, deadline=None, derandomize=True,
+                  database=None)
+        @given(inputs=grouping_inputs())
+        def check(inputs):
+            db, k_max, n_subcarriers = inputs
+            state = state_from_db(db)
+            plan = group_users(state, n_subcarriers, k_max=k_max)
+
+            x = linear_to_db(state.effective_gain)
+            n = x.size
+            k_hi = min(k_max, n, n_subcarriers)
+            order, wcss, splits = reference.optimal_splits(x, k_hi)
+            k = reference.elbow_select_k(wcss)
+            assign, sizes = clustering._trace_back(order, splits, k)
+            total, within = wcss[0], wcss[k - 1]
+            if k == 1:
+                f_stat = math.nan
+            elif within <= 0.0:
+                f_stat = math.inf
+            else:
+                f_stat = ((max(total - within, 0.0) / (k - 1))
+                          / (within / (n - k)))
+            assert plan.k == k
+            assert np.array_equal(plan.assignment, assign)
+            assert (np.float64(plan.f_statistic).tobytes()
+                    == np.float64(f_stat).tobytes())
+            assert np.array_equal(
+                plan.subcarriers_per_cluster,
+                reference.allocate_subcarriers(sizes, n_subcarriers))
+            assert np.array(plan.wcss_curve).tobytes() == \
+                np.array(wcss).tobytes()
+
+        check()
+        assert any(pick < K for K, pick in stops)
+        assert any(pick == K >= 3 for K, pick in stops)
 
 
 class TestElbowSelectK:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambcsim.channel import ChannelParams, a2g_path_loss
-from ambcsim.config import ConfigError, SimConfig, _cell_gains
+from ambcsim.config import ConfigError, SimConfig, _cell_gains, dbm_to_watts
 from ambcsim import clustering, harness
 from ambcsim.harness import (Aggregate, EeReport, derive_trial_seed,
                              run_trial, sample_deployment, sweep,
@@ -198,6 +198,34 @@ class TestSweeps:
         agg = {(a.sweep_value, a.mode): a.mean_ee for a in rep.aggregates}
         assert agg[(30_000.0, "triad")] > agg[(120_000.0, "triad")]
         assert agg[(30_000.0, "baseline")] > agg[(120_000.0, "baseline")]
+
+    @pytest.mark.parametrize("seed", [1, 9, 42])
+    def test_ee_peaks_in_payload_where_transmit_power_takes_over(self, seed):
+        # Why EE rises with payload at the defaults: transmit power is
+        # under 1 % of the total at 60 kbit and over 1/2 at 500 kbit, and
+        # mean EE peaks between, higher at 180 kbit than at 60 and 300.
+        # Every payload runs the same 10 deployments (sweep index 0).
+        circuit = dbm_to_watts(SimConfig().circuit_power)
+        mean_ee = {}
+        for bits in (60_000.0, 180_000.0, 300_000.0, 500_000.0):
+            config = SimConfig(seed=seed, data_bits=bits)
+            ees, shares = [], []
+            for t in range(10):
+                for result in run_trial(config,
+                                        derive_trial_seed(seed, 0, t)):
+                    served = [~sol.outage for sol in result.solutions]
+                    tx = sum(float(sol.power[mask].sum()) for sol, mask
+                             in zip(result.solutions, served))
+                    n_served = sum(int(mask.sum()) for mask in served)
+                    ees.append(result.ee)
+                    shares.append(tx / (tx + circuit * n_served))
+            mean_ee[bits] = np.mean(ees)
+            if bits == 60_000.0:
+                assert max(shares) < 0.01
+            if bits == 500_000.0:
+                assert min(shares) > 0.5
+        assert mean_ee[180_000.0] > mean_ee[60_000.0]
+        assert mean_ee[180_000.0] > mean_ee[300_000.0]
 
     def test_positive_gap_at_every_size(self):
         cfg = small_config(n_trials=10, n_ues=30)
@@ -545,10 +573,8 @@ class TestValidationOnEveryPath:
     def test_trial_peak_within_counted_bytes(self, monkeypatch, kwargs,
                                              keys, every_layer):
         # A budget one byte under what a trial took must refuse it.  The
-        # warm-up imports and caches at a small n, so the DP's n-only
-        # constants are built inside the first measured trial, as in the
-        # first trial of every sweep point, and stay live through the
-        # second, as in every later one; the peak covers both.
+        # warm-up imports at a small n, and the peak covers two trials,
+        # as a sweep point runs them.
         if every_layer:
             monkeypatch.setattr(clustering, "ELBOW_SLACK", math.inf)
         config = SimConfig(**kwargs)

@@ -25,7 +25,10 @@ from pathlib import Path
 # without tags, whose close gains put F's last digits at stake; one UE
 # (a one-row UE x tag block, one cluster, a one-UE admission scan);
 # tags that reflect nothing (beta = 0); 1000 tags over a 20 km cell, where
-# the best-tag bound's rounding is largest; a several-trial ``single``,
+# the best-tag bound's rounding is largest; 7 UEs over a 3 km cell with a
+# 60 dB NLoS loss, whose DP reaches the cost matrix in 10 of its 180
+# evaluations, with stops at layer 4 and pick-K stops at layer 3 (see
+# clustering._elbow_settled); a several-trial ``single``,
 # whose per-trial lines print in the sweep's record order; a 150-trial
 # ``single``, whose aggregates sum more than 128 EEs, past which numpy's
 # pairwise sum recurses; the rest cover the defaults, a binding power
@@ -47,6 +50,8 @@ CAMPAIGNS = [
     "--seed 3 --trials 2 --set channel.reflection_coeff=0 sweep-users",
     "--seed 5 --trials 2 --set n_tags=1000 --set coverage_radius=20000 "
     "sweep-users",
+    "--seed 2 --trials 10 --set n_ues=7 --set coverage_radius=3000 "
+    "--set channel.eta_nlos=60 sweep-data",
     # a simulation error mid-sweep, at data_bits 60000 (the 5th of 9
     # points), pins its exit 4, the snapshot bytes and the missing CSVs
     "--seed 5 --trials 2 --set bandwidth=3000 sweep-data",
