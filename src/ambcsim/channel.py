@@ -99,6 +99,9 @@ class ChannelParams:
         if self.plos_a < 0:
             # keeps the LoS probability 1 / (1 + a exp(...)) in (0, 1]
             raise ConfigError("plos_a must be >= 0")
+        if not abs(self.plos_b) * (90.0 + self.plos_a) < math.inf:
+            # the LoS exponent b (a - theta), theta in [-90, 90] deg
+            raise ConfigError("plos_b times (90 + plos_a) overflows")
         if not 0.0 <= self.reflection_coeff <= 1.0:
             raise ConfigError("reflection_coeff must be in [0, 1]")
         if not self.eta_nlos >= self.eta_los >= 0.0:

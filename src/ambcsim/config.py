@@ -90,7 +90,8 @@ class SimConfig:
         if loss > 0.0 and 10.0 ** (-loss / 10.0) == 0.0:
             raise ConfigError(f"coverage_radius, uav_altitude and "
                               f"channel.carrier_freq give a cell-edge path "
-                              f"loss of {loss:.6g} dB, whose linear gain "
+                              f"loss of {loss:.6g} dB (channel.eta_los and "
+                              f"eta_nlos included), whose linear gain "
                               f"underflows to 0")
         for key in INT_FIELDS:
             value = getattr(self, key)
@@ -167,6 +168,17 @@ class SimConfig:
             raise ConfigError(f"channel.carrier_freq and uav_altitude give "
                               f"a peak gain that overflows (direct path "
                               f"{direct:.6g})")
+        # EE = data_bits served / (frame_duration (tx + circuit served)),
+        # tx >= 0 and 1 <= served <= n_ues, is at most this, in floats too
+        try:
+            ee = self.data_bits * n / (self.frame_duration
+                                       * dbm_to_watts(self.circuit_power))
+        except (OverflowError, ZeroDivisionError):
+            ee = math.inf
+        if not ee < math.inf:
+            raise ConfigError("circuit_power overflows in watts, or with "
+                              "data_bits and frame_duration gives an EE "
+                              "bound that overflows")
 
 
 # The keys of each field kind, in field order, the order of the checks

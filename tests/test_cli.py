@@ -2,18 +2,24 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ambcsim
 from ambcsim import harness
-from ambcsim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIM,
-                         build_effective_config, main)
+from ambcsim.channel import CHANNEL_FIELDS
+from ambcsim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIM, _coerce,
+                         _json_int, build_effective_config, main)
 from ambcsim.config import ConfigError, SimConfig, dbm_to_watts
 from ambcsim.harness import run_trial
 
@@ -238,6 +244,7 @@ class TestRunCli:
         ("coverage_radius=1e200", "coverage_radius"),
         ("uav_altitude=1e300", "uav_altitude"),
         ("channel.carrier_freq=1e300", "channel.carrier_freq"),
+        ("channel.eta_nlos=1e12", "eta_nlos"),
         ("data_bits=0", "data_bits"),
         ("data_bits=-1", "data_bits"),
         ("frame_duration=0", "frame_duration"),
@@ -249,6 +256,13 @@ class TestRunCli:
         # about 1e-323 W on one subcarrier: positive, but any SINR target
         # below 0.25 times it underflows to 0
         ("channel.noise_psd=-3240", "channel.noise_psd"),
+        # a circuit power that overflows in watts, or an EE that may
+        ("circuit_power=3300", "circuit_power"),
+        ("circuit_power=-3000", "circuit_power"),
+        ("frame_duration=5e-324 data_bits=5e-324", "frame_duration"),
+        # a LoS exponent b (a - theta) that overflows
+        ("channel.plos_b=1e308", "plos_b"),
+        ("channel.plos_b=-1e308", "plos_b"),
         ("channel.bogus=1", "unknown channel parameter 'bogus'"),
         ("n_ues", "override 'n_ues' is not key=value"),
     ])
@@ -480,3 +494,134 @@ def test_runs_leave_numpy_ma_unimported(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+# JSON texts of every kind for the boundary test: booleans, small and
+# huge integers (one past int()'s digit limit), floats with NaN, the
+# infinities (which Python's json reads), values near overflow and
+# subnormals, strings, lists and objects.
+SIM_KEYS = [f.name for f in dataclasses.fields(SimConfig)
+            if f.name != "channel"]
+NUMBER_TEXTS = st.one_of(
+    st.booleans().map(json.dumps),
+    st.integers(-3, 12).map(str),
+    st.integers(10 ** 12, 10 ** 30).map(str),
+    st.sampled_from(["-" + "9" * 30, "1" + "0" * 400, "9" * 5000]),
+    st.floats().map(json.dumps),
+    st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308,
+                     1e308, 2.2250738585072014e-308, 5e-324, -5e-324,
+                     -0.0]).map(repr))
+STRINGS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["7", " 3 ", "1e400", "nan", "inf", "-Infinity",
+                     "0x10", "1_0", "5e-324", "\u0663"]))
+JSON_TEXTS = st.recursive(
+    st.one_of(st.just("null"), NUMBER_TEXTS, STRINGS.map(json.dumps)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(lambda v: f"[{', '.join(v)}]"),
+        st.lists(st.tuples(STRINGS.map(json.dumps), inner),
+                 max_size=3).map(
+            lambda kv: "{" + ", ".join(f"{k}: {v}" for k, v in kv) + "}")),
+    max_leaves=4)
+
+
+DEFAULTS = dataclasses.asdict(SimConfig())
+DEFAULTS.update(DEFAULTS.pop("channel"))
+FIELDS = set(DEFAULTS) | {"channel"}
+
+
+def draw_text(draw, key):
+    """A JSON text of any kind, or three times in four a number near the
+    key's default, so that many examples run."""
+    default = DEFAULTS.get(key)
+    if default is None or draw(st.integers(0, 3)) == 0:
+        return draw(JSON_TEXTS)
+    if isinstance(default, int):
+        return str(draw(st.integers(0, 12)))
+    return repr(default * 10.0 ** draw(st.integers(-2, 2)))
+
+
+def draw_key(draw, keys):
+    """One of keys, or one time in four any string."""
+    return draw(STRINGS if draw(st.integers(0, 3)) == 0
+                else st.sampled_from(keys))
+
+
+@st.composite
+def cli_inputs(draw):
+    """(subcommand, config file text, --set strings, the keys they
+    name)."""
+    def draw_keys(keys, most):
+        return list(dict.fromkeys(draw_key(draw, keys) for _ in
+                                  range(draw(st.integers(0, most)))))
+
+    keys = draw_keys(SIM_KEYS + ["channel"], 2)
+    items = []
+    for key in keys:
+        value = draw_text(draw, key)
+        if key == "channel" and draw(st.booleans()):
+            ckeys = draw_keys(CHANNEL_FIELDS, 3)
+            keys += ckeys
+            value = "{" + ", ".join(f"{json.dumps(k)}: {draw_text(draw, k)}"
+                                    for k in ckeys) + "}"
+        items.append(f"{json.dumps(key)}: {value}")
+    sets = []
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw_key(draw, SIM_KEYS + [f"channel.{k}"
+                                         for k in CHANNEL_FIELDS])
+        value = draw_text(draw, key.removeprefix("channel."))
+        sets.append(f"{key}={value}")
+    if draw(st.integers(0, 7)) == 0:
+        sets.append(draw(STRINGS))  # perhaps no key=value at all
+    # each --set names its key, or itself where it holds no "="
+    keys += [s.partition("=")[0].removeprefix("channel.") if "=" in s
+             else s for s in sets]
+    command = draw(st.sampled_from(["single", "sweep-users", "sweep-data"]))
+    return command, "{" + ", ".join(items) + "}", sets, keys
+
+
+def admits_many(raw):
+    """Whether raw, as a count, passes for one above 12 that the memory
+    budget may admit: a slow example, or one that takes gigabytes."""
+    try:
+        return 12 < _coerce("n_ues", raw) < 10 ** 12
+    except ConfigError:
+        return False
+
+
+SIM_ERROR = re.compile(r"simulation error: demand of \S+ bits/s/Hz exceeds "
+                       r"the supported range \(at (n_ues|data_bits) sweep "
+                       r"value \S+, trial \d+, trial seed \d+\)\n")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(inputs=cli_inputs())
+def test_no_input_gets_past_the_config_boundary(inputs):
+    # Exit 0 with finite EE cells, exit 2 naming a key drawn, or exit 4
+    # for a demand past the supported spectral efficiency, named where.
+    # A valid config may be infeasible: --set bandwidth=3000 sweep-data
+    # exits 4 at its fifth payload.
+    command, text, sets, keys = inputs
+    data = json.loads(text, parse_int=_json_int)
+    counts = [data[k] for k in ("n_ues", "n_tags") if k in data]
+    counts += [value for key, _, value in (s.partition("=") for s in sets)
+               if key in ("n_ues", "n_tags")]
+    assume(not any(map(admits_many, counts)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "config.json")
+        path.write_text(text, encoding="utf-8")
+        argv = ["--out", tmp, "--config", str(path), "--trials", "1"]
+        code, _, err = run(argv + [f"--set={s}" for s in sets] + [command])
+        if code == EXIT_CONFIG:
+            assert err.startswith("configuration error: ")
+            # a field by its name, any other key quoted
+            assert any(repr(k) in err or k in FIELDS and k in err
+                       for k in keys), err
+        elif code == EXIT_SIM:
+            assert SIM_ERROR.fullmatch(err), err
+        else:
+            assert code == EXIT_OK, err
+            for name, column in (("trials.csv", 3), ("aggregates.csv", 2)):
+                rows = Path(tmp, name).read_text().splitlines()[1:]
+                assert rows and all(math.isfinite(float(
+                    row.split(",")[column])) for row in rows), name

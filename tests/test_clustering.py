@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -44,6 +44,28 @@ def state_from_db(gains_db):
     return ChannelState(direct_gain=lin, backscatter_gain=np.zeros_like(lin),
                         effective_gain=lin,
                         best_tag_index=np.full(lin.size, -1))
+
+
+def take_layers(x, k_max):
+    """(order, wcss, splits, ss) once k_max layers of the DP are taken."""
+    order, ss, splits, layers = clustering._optimal_splits(
+        np.asarray(x, dtype=float))
+    return order, list(itertools.islice(layers, k_max)), splits, ss
+
+
+def spy_tables(monkeypatch):
+    """The split table lists of every later _optimal_splits call; each
+    list's length is the number of layers its caller took."""
+    tables = []
+    optimal_splits = clustering._optimal_splits
+
+    def spy(features):
+        result = optimal_splits(features)
+        tables.append(result[2])
+        return result
+
+    monkeypatch.setattr(clustering, "_optimal_splits", spy)
+    return tables
 
 
 # Tight clusters, as (gaps between them in dB, sizes), whose WCSS elbow
@@ -193,9 +215,9 @@ class TestOptimalSplitsAgainstReference:
 
     @staticmethod
     def assert_matches(x, k_max):
-        order, wcss, splits, pick = clustering._optimal_splits(x, k_max)
+        order, wcss, splits, _ = take_layers(x, k_max)
         ref_order, ref_wcss, ref_splits = reference.optimal_splits(x, k_max)
-        assert pick == 0  # no stop: every layer runs
+        assert len(wcss) == len(splits) == k_max  # one table per layer
         assert np.array_equal(order, ref_order)
         assert np.array(wcss).tobytes() == np.array(ref_wcss).tobytes()
         # the tables agree wherever a trace-back reads them: in full below
@@ -232,7 +254,7 @@ class TestOptimalSplitsAgainstReference:
         for n in range(1, 12):
             x = rng.normal(size=n)
             self.assert_matches(x, 12)
-            wcss = clustering._optimal_splits(x, 12)[1]
+            wcss = take_layers(x, 12)[1]
             assert math.isinf(wcss[-1])
             with pytest.raises(ValueError, match="finite"):
                 elbow_select_k(wcss)
@@ -246,7 +268,7 @@ class TestOptimalSplitsAgainstReference:
         x = np.random.default_rng(63).normal(size=n)
         tracemalloc.start()
         try:
-            clustering._optimal_splits(x, 10)
+            take_layers(x, 10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -257,17 +279,18 @@ class TestElbowStop:
     """group_users stops its DP once the WCSS curve so far settles the
     elbow, and gives what the full DP and the elbow give."""
 
-    def test_two_clusters_stop_after_layer_two(self):
+    def test_two_clusters_stop_after_layer_two(self, monkeypatch):
         rng = np.random.default_rng(71)
         state = state_from_db(np.concatenate([rng.normal(-100.0, 0.5, 20),
                                               rng.normal(-80.0, 0.5, 20)]))
         features = linear_to_db(state.effective_gain)
-        _, wcss, splits, pick = clustering._optimal_splits(
-            features, 10, until_elbow=True)
-        full = clustering._optimal_splits(features, 10)[1]
-        assert len(wcss) == len(splits) == pick == 2
-        assert wcss == full[:2]
+        _, full, _, ss = take_layers(features, 10)
+        slack = clustering.ELBOW_SLACK * ss
+        assert elbow_select_k(full[:1], 10, slack) == 0
+        assert elbow_select_k(full[:2], 10, slack) == 2
+        tables = spy_tables(monkeypatch)
         plan = group_users(state, 128, k_max=10)
+        assert [len(splits) for splits in tables] == [2]
         assert plan.k == 2
         assert len(plan.wcss_curve) == 10
         for k, w in enumerate(plan.wcss_curve, start=1):
@@ -283,7 +306,7 @@ class TestElbowStop:
         ([math.inf, 10.0, 9.0], 10, 0.0, 0),
         ([math.nan, 10.0, 9.0], 10, 0.0, 0),
         ([100.0, 10.0], 10, 70.0, 0),         # a tie inside the slack
-        ([100.0, 10.0], 2, 0.0, 0),           # K = k_hi: never picked
+        ([100.0, 10.0], 2, 0.0, 1),           # whole: 2 entries give 1
         ([100.0, 40.0], 3, 0.0, 2),           # 20 against max(0); no W_K
         ([100.0, 40.0], 10, 0.0, 0),          # 20 against max(0, 40)
         ([math.inf, 10.0], 10, 0.0, 0),
@@ -297,26 +320,30 @@ class TestElbowStop:
         ids=[f"curve{i}-{k_hi}-{slack}-{bool(k)}"
              for i, (_, k_hi, slack, k) in enumerate(SETTLED_CASES)])
     def test_settled_bound(self, curve, k_hi, slack, k):
-        assert clustering._elbow_settled(curve, k_hi, slack) == k
+        assert elbow_select_k(curve, k_hi, slack) == k
+
+    # Integer curves up to 1000 are exact in float64, and flat only where
+    # every entry is equal (1e-12 W_1 < 1).
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(curve=st.lists(st.integers(0, 1000), min_size=1, max_size=12))
+    @example(curve=[3, 2, 1, 0])  # second(3)'s lower bound ties k = 2
+    def test_partial_pick_is_the_whole_pick(self, curve):
+        curve = sorted(map(float, curve), reverse=True)
+        pick = elbow_select_k(curve)
+        for K in range(1, len(curve)):
+            assert elbow_select_k(curve[:K], len(curve), 0.0) in (0, pick)
 
     def test_stop_rate_at_workload_settings(self, monkeypatch):
         # Settings like the benchmark workloads': the defaults with 10 and
         # 1000 tags, n_ues 10..100 and both modes, 700 mode evaluations.
         # W_1 and W_2 settle k = 2 in 692 of them, with no (n + 1)^2 cost
         # matrix built; an edit that settles fewer brings it back.
-        lengths = []
-        optimal_splits = clustering._optimal_splits
-
-        def spy(features, k_max, until_elbow=False):
-            result = optimal_splits(features, k_max, until_elbow)
-            if until_elbow:
-                lengths.append(len(result[1]))
-            return result
-
-        monkeypatch.setattr(clustering, "_optimal_splits", spy)
+        tables = spy_tables(monkeypatch)
         for n_tags in (10, 1000):
             sweep(SimConfig(n_trials=25, n_tags=n_tags, seed=1), "n_ues",
                   list(range(10, 101, 15)))
+        lengths = [len(splits) for splits in tables]
         assert len(lengths) == 700
         assert lengths.count(2) >= 692
 
@@ -335,15 +362,14 @@ class TestElbowStop:
         # (K, pick) of every settled stop: pick < K is the known-best
         # case, pick = K the pick-K one
         stops = []
-        settled = clustering._elbow_settled
 
         def spy(curve, k_hi, slack):
-            pick = settled(curve, k_hi, slack)
-            if pick:
+            pick = elbow_select_k(curve, k_hi, slack)
+            if pick and len(curve) < k_hi:
                 stops.append((len(curve), pick))
             return pick
 
-        monkeypatch.setattr(clustering, "_elbow_settled", spy)
+        monkeypatch.setattr(clustering, "elbow_select_k", spy)
 
         @settings(max_examples=400, deadline=None, derandomize=True,
                   database=None)
@@ -563,6 +589,14 @@ class TestGroupUsers:
                 ref = stats.f_oneway(*groups).statistic
                 assert plan.k >= 2 and plan.f_statistic >= 0.0
                 assert plan.f_statistic == pytest.approx(ref, rel=1e-9)
+
+    def test_two_entry_curve_gives_one(self):
+        # clear two clusters, yet k_hi = 2 leaves no second difference
+        rng = np.random.default_rng(72)
+        state = state_from_db(np.concatenate([rng.normal(-100.0, 0.5, 20),
+                                              rng.normal(-80.0, 0.5, 20)]))
+        assert group_users(state, 128, k_max=3).k == 2
+        assert group_users(state, 128, k_max=2).k == 1
 
     def test_identical_gains_collapse_to_one(self):
         plan = group_users(state_from_db([-90.0] * 12), 128, k_max=10)

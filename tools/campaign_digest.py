@@ -20,19 +20,20 @@ import sys
 import tempfile
 from pathlib import Path
 
-# Edge cases of the grouping DP: k_max = 1 (one layer), k_max = 2 (no
-# middle layer), n_subcarriers = 3 (k capped below k_max); a small cell
-# without tags, whose close gains put F's last digits at stake; one UE
-# (a one-row UE x tag block, one cluster, a one-UE admission scan);
-# tags that reflect nothing (beta = 0); 1000 tags over a 20 km cell, where
-# the best-tag bound's rounding is largest; 7 UEs over a 3 km cell with a
-# 60 dB NLoS loss, whose DP reaches the cost matrix in 10 of its 180
-# evaluations, with stops at layer 4 and pick-K stops at layer 3 (see
-# clustering._elbow_settled); a several-trial ``single``,
-# whose per-trial lines print in the sweep's record order; a 150-trial
-# ``single``, whose aggregates sum more than 128 EEs, past which numpy's
-# pairwise sum recurses; the rest cover the defaults, a binding power
-# budget, dense tags and a large n.
+# Edge cases of the grouping DP: k_max = 1 (one layer), k_max = 2 (a
+# two-entry curve, on which the elbow always gives k = 1, so it writes
+# what k_max = 1 does), n_subcarriers = 3 (k capped below k_max); a
+# small cell without tags, whose close gains put F's last digits at
+# stake; one UE (a one-row UE x tag block, one cluster, a one-UE
+# admission scan); tags that reflect nothing (beta = 0); 1000 tags over
+# a 20 km cell, where the best-tag bound's rounding is largest; 7 UEs
+# over a 3 km cell with a 60 dB NLoS loss, whose DP reaches the cost
+# matrix in 10 of its 180 evaluations, with stops at layer 4 and pick-K
+# stops at layer 3 (see clustering.elbow_select_k); a several-trial
+# ``single``, whose per-trial lines print in the sweep's record order; a
+# 150-trial ``single``, whose aggregates sum more than 128 EEs, past
+# which numpy's pairwise sum recurses; the rest cover the defaults, a
+# binding power budget, dense tags and a large n.
 CAMPAIGNS = [
     "--seed 5 --trials 5 sweep-users",
     "--seed 5 --trials 5 --set p_max=1e-06 sweep-data",
