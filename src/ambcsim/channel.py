@@ -20,14 +20,15 @@ for, and the exact cascaded gain is evaluated only on the pairs the
 bound keeps, so the matmul's bits never reach a result (see _best_tags).
 
 One pass over the links to the UAV serves both modes of a trial: a
-Deployment caches every node's coordinate rows and UAV-link gain, and
-the baseline mode reads the UEs' direct gains from that cache.
+Deployment holds every node's coordinate rows in one read-only block and
+caches each node's UAV-link gain, and the baseline mode reads the UEs'
+direct gains from that cache.
 """
 
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,11 +59,17 @@ def positions(x, y, z):
     """
     out = np.empty(np.broadcast(x, y, z).shape, dtype=XYZ)
     out["x"], out["y"], out["z"] = x, y, z
-    if not np.isfinite(out.reshape(-1).view(float)).all():
-        raise ValueError("position coordinates must be finite")
-    if (out["z"] < 0).any():
-        raise ValueError("height z must be >= 0")
+    check_coordinates(out.reshape(-1).view(float), out["z"])
     return out
+
+
+def check_coordinates(coordinates, z):
+    """Refuse points unless every coordinate is finite and every height z
+    >= 0, the non-finite first."""
+    if not np.isfinite(coordinates).all():
+        raise ValueError("position coordinates must be finite")
+    if (z < 0).any():
+        raise ValueError("height z must be >= 0")
 
 
 class ConfigError(ValueError):
@@ -180,22 +187,45 @@ def _link_gain(dx, dy, dz, params: ChannelParams):
     return 10.0 ** (loss / -10.0)
 
 
-@dataclass
 class Deployment:
-    """UE and tag positions as contiguous XYZ record arrays, as positions
-    returns them, and the UAV as one XYZ record.
+    """The nodes of one trial as one read-only (3, n_ues + n_tags + 1)
+    block xyz of coordinate rows x, y and z: the UEs, then the tags, then
+    the UAV.
 
-    One link pass serves both modes of a trial: uav_links computes every
-    node's link to the UAV once per ChannelParams and caches it here, so
-    the positions must not change once a link has been computed.
-    harness.sample_deployment marks them read-only.
+    Built from XYZ records (as positions returns them), it copies their
+    coordinates into its own rows; harness.sample_deployment writes its
+    rows in place (see from_rows).  ue_positions, tag_positions and
+    uav_position are read-only XYZ records of the rows, built when first
+    read.  One link pass serves both modes of a trial: uav_links computes
+    every node's link to the UAV once per ChannelParams and caches it
+    here, which the read-only rows keep true to the positions.
     """
 
-    ue_positions: np.ndarray
-    tag_positions: np.ndarray
-    uav_position: np.record
-    _links: tuple = field(default=None, init=False, repr=False,
-                          compare=False)
+    def __init__(self, ue_positions, tag_positions, uav_position):
+        xyz = np.array([np.hstack([ue_positions[c], tag_positions[c],
+                                   uav_position[c]]) for c in "xyz"])
+        xyz.flags.writeable = False
+        self.xyz, self.n_ues, self._links = xyz, len(ue_positions), None
+
+    @classmethod
+    def from_rows(cls, xyz, n_ues):
+        """The deployment whose block is xyz itself, read-only, its first
+        n_ues columns the UEs."""
+        deployment = cls.__new__(cls)
+        deployment.xyz, deployment.n_ues, deployment._links = xyz, n_ues, None
+        return deployment
+
+    @functools.cached_property
+    def ue_positions(self):
+        return _records(self.xyz[:, :self.n_ues])
+
+    @functools.cached_property
+    def tag_positions(self):
+        return _records(self.xyz[:, self.n_ues:-1])
+
+    @functools.cached_property
+    def uav_position(self):
+        return _records(self.xyz[:, -1])[()]
 
     def uav_links(self, params: ChannelParams):
         """(xyz, g): the coordinate rows x, y, z of the UEs, then of the
@@ -203,22 +233,23 @@ class Deployment:
         UAV, computed once per params."""
         links = self._links
         if links is None or links[0] != params:
-            ues, tags = self.ue_positions, self.tag_positions
-            n = ues.size
-            m = tags.size if params.reflection_coeff > 0.0 else 0
-            xyz = np.empty((3, n + m))
-            xyz.T[:n] = np.frombuffer(ues).reshape(n, 3)
-            if m:
-                xyz.T[n:] = np.frombuffer(tags).reshape(m, 3)
+            n = self.n_ues
+            ax, ay, az = self.xyz[:, -1].tolist()
+            xyz = self.xyz[:, :-1 if params.reflection_coeff > 0.0 else n]
             # the UEs' direct paths and the tags' hop 2 in one pass
-            ax, ay, az = self.uav_position.item()
             dz = az - xyz[2]
             np.abs(dz[n:], out=dz[n:])
             g = _link_gain(ax - xyz[0], ay - xyz[1], dz, params)
-            for a in (xyz, g):
-                a.flags.writeable = False
+            g.flags.writeable = False
             links = self._links = (params, xyz, g)
         return links[1:]
+
+
+def _records(rows):
+    """Read-only XYZ records of the coordinate rows x, y, z."""
+    records = positions(*rows)
+    records.flags.writeable = False
+    return records
 
 
 def effective_gains(deployment, params: ChannelParams,
@@ -239,7 +270,7 @@ def effective_gains(deployment, params: ChannelParams,
     (see Deployment.uav_links), which with beta > 0 also covers the tags,
     so a tag at the UAV is refused in either mode.
     """
-    n = deployment.ue_positions.size
+    n = deployment.n_ues
     if n == 0:
         raise ValueError("deployment must contain at least one UE")
     xyz, g = deployment.uav_links(params)

@@ -43,20 +43,40 @@ class ClusterPlan:
         return list(itertools.islice(layers, self.k_hi))
 
 
-def _cost(s1, s2, ends, starts):
-    """Cost of sorted x[i:j] for j in ends and i in starts, index arrays
-    or indices that broadcast (a column of ends gives the matrix), from
-    the prefix sums: clamped at 0, inf where j <= i.  Every block gets
-    the same bits."""
-    length = np.subtract(ends, starts, dtype=float)
-    empty = length <= 0.0
-    np.maximum(length, 1.0, out=length)
-    dev = s1[ends] - s1[starts]
+def _cost(dev, s2_ends, s2_starts, length):
+    """Cost of sorted runs x[i:j], clamped at 0, from dev = s1[j] - s1[i],
+    the prefix sums of x^2 at their ends and starts, and their lengths
+    j - i >= 1 as floats; operands broadcast.  dev is scratch, and the
+    cost is written over length and returned.  Every block gets the same
+    bits."""
     np.square(dev, out=dev)
     dev /= length
-    cost = np.subtract(s2[ends], s2[starts], out=length)
+    cost = np.subtract(s2_ends, s2_starts, out=length)
     cost -= dev
-    np.maximum(cost, 0.0, out=cost)
+    return np.maximum(cost, 0.0, out=cost)
+
+
+def _cost_edges(s1, s2, ramp):
+    """(column 0, row n) of the cost, that of each x[0:j] and of each
+    x[i:n], in O(n): slices of the prefix sums s1 and s2 and of the
+    lengths in ramp (0, 1, ..., n as floats), and inf at the one empty
+    run of each."""
+    n = ramp.size - 1
+    first, last = ramp.copy(), ramp[::-1].copy()
+    first[0] = last[n] = math.inf
+    _cost(s1[1:] - s1[0], s2[1:], s2[0], first[1:])
+    _cost(s1[n] - s1[:n], s2[n], s2[:n], last[:n])
+    return first, last
+
+
+def _cost_matrix(s1, s2, ramp):
+    """cost[j, i], that of x[i:j], inf where j <= i.  At its peak it
+    holds 17 bytes per entry: the lengths (then the cost), dev and the
+    empty-run mask."""
+    length = ramp[:, None] - ramp
+    empty = length <= 0.0
+    np.maximum(length, 1.0, out=length)
+    cost = _cost(s1[:, None] - s1, s2[:, None], s2, length)
     np.copyto(cost, np.inf, where=empty)
     return cost
 
@@ -74,28 +94,32 @@ def _optimal_splits(features):
     (inf past k = n), which appends layer k's table to splits with W_k.
 
     D_1 is column 0 of the cost (every split is 0), and layer k first
-    computes its row n from row n of the cost, both in O(n): W_k and the
-    argmin a trace-back from k starts at, its table's only entry until
-    W_{k+1} is asked for.  Then the whole layer, which the next one and
-    every trace-back through k read, is filled from the (n + 1)^2 cost
-    matrix, built at the first such layer.
+    computes its row n from row n of the cost: W_k and the argmin a
+    trace-back from k starts at, its table's only entry until W_{k+1}
+    is asked for.  Both cost edges come from slices of the prefix sums in
+    O(n), without gathers or an empty-run mask (see _cost_edges).  Then
+    the whole layer, which the next one and every trace-back through k
+    read, is filled from the (n + 1)^2 cost matrix, built at the first
+    such layer; its entries have the edges' bits.
     """
     n = features.size
     if n == 0:
         raise ValueError("empty feature vector")
     order = features.argsort(kind="stable")
     # centred (the same bits as x - x.mean()), so prefix sums cancel less
-    xs = features[order] - np.add.reduce(features) / n
-    s1, s2 = np.zeros(n + 1), np.zeros(n + 1)  # prefix sums, led by 0
-    xs.cumsum(out=s1[1:])
-    (xs * xs).cumsum(out=s2[1:])
-    ends = np.arange(n + 1)
+    xs = features[order]
+    xs -= float(np.add.reduce(features)) / n
+    s1, s2 = np.empty(n + 1), np.empty(n + 1)  # prefix sums, led by 0
+    s1[0] = s2[0] = 0.0
+    np.add.accumulate(xs, out=s1[1:])
+    np.multiply(xs, xs, out=xs)
+    np.add.accumulate(xs, out=s2[1:])
+    ramp = np.arange(n + 1.0)  # run lengths
     splits = [np.zeros(n + 1, dtype=np.intp)]
 
     def layers():
-        best = _cost(s1, s2, ends, 0)  # D_1: only D_0[0] = 0 is finite
+        best, tail = _cost_edges(s1, s2, ramp)  # D_1 and row n
         yield float(best[n])
-        tail = _cost(s1, s2, n, ends)  # row n, the cost of each x[i:n]
         cost = None
         while True:
             row = tail + best
@@ -104,8 +128,9 @@ def _optimal_splits(features):
             splits.append(split)
             yield float(row[end])
             if cost is None:  # cost[j, i] is that of x[i:j]
-                cost = _cost(s1, s2, ends[:, None], ends)
-                layer, rows = np.empty_like(cost), ends * (n + 1)  # flat
+                cost = _cost_matrix(s1, s2, ramp)
+                layer = np.empty_like(cost)
+                rows = np.arange(0, (n + 1) ** 2, n + 1)  # flat
             np.add(cost, best, out=layer)
             layer.argmin(axis=1, out=split)
             best = layer.take(split + rows)  # faster than layer[j, split]
@@ -115,9 +140,10 @@ def _optimal_splits(features):
 
 def _trace_back(order, splits, k):
     """(assignment, sizes) of the optimal k-partition: each UE's cluster
-    and each cluster's size; cluster labels ascend with the feature."""
+    and each cluster's size as a Python int; cluster labels ascend with
+    the feature."""
     assign = np.empty(order.size, dtype=int)
-    sizes = np.empty(k, dtype=int)
+    sizes = [0] * k
     end = order.size
     for c in range(k - 1, -1, -1):
         start = int(splits[c][end])
@@ -220,7 +246,7 @@ def allocate_subcarriers(cluster_sizes, n_subcarriers):
 
     Remainder ties break toward the larger cluster, then the lower index.
     """
-    sizes = np.asarray(cluster_sizes, dtype=int).tolist()
+    sizes = [int(s) for s in cluster_sizes]
     m = len(sizes)
     if m == 0 or min(sizes) < 1:
         raise ValueError("cluster sizes must all be >= 1")

@@ -127,20 +127,22 @@ class SimConfig:
         # split table of n_ues + 1 indices, with up to 160 bytes for its
         # header and its WCSS entry in both modes, and the outer subtracts
         # may take two 64 KiB ufunc buffers.  Each UE then holds up to 160
-        # bytes more (130 in arrays): its position record (24), the first
-        # mode's assignment, feature (its plan keeps it), power, outage
-        # and served flags (26), its four channel gains (32), its
+        # bytes more (130 in arrays): its one copy of coordinate rows in
+        # the deployment's block (24; no position records are built), the
+        # first mode's assignment, feature (its plan keeps it), power,
+        # outage and served flags (26), its four channel gains (32), its
         # feature, sort order, centred value and prefix sums (40) and its
-        # D row (8); each tag holds its position record (24).  The
+        # D row (8); each tag holds its coordinate rows (24).  The
         # deployment's cached links to the UAV (see channel.Deployment)
-        # hold 32 bytes more per UE and per tag, its coordinate rows (24)
-        # and link gain (8), live from the triad's channel call through
-        # the baseline's DP.
+        # hold 8 bytes more per UE and per tag, its link gain, live from
+        # the triad's channel call through the baseline's DP; they slice
+        # the block, so the 24 bytes per UE and per tag counted for a
+        # copy of its rows are spare.
         # The UE x tag block holds 10 bytes per pair at its peak: the
         # float bound, the keep mask and the far-pair compare before it
         # joins the mask.  Each UE and tag holds up to 128 bytes more in
-        # the channel: its position record and coordinate rows (24 + 24),
-        # then in the path-loss pass its link's offsets (24), horizontal
+        # the channel: its coordinate rows (24, and 24 spare), then in
+        # the path-loss pass its link's offsets (24), horizontal
         # distance, distance and elevation (24) and four loss temporaries
         # (32), or in the best-tag bound its hop-2 gain and height offset
         # (16), its matmul row (32) and, for a tag, its bound's

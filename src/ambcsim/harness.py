@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import Deployment, effective_gains, noise_power, positions
+from .channel import (Deployment, check_coordinates, effective_gains,
+                      noise_power)
 from .clustering import ClusterPlan, group_users
 from .config import TAG_HEIGHT, UE_HEIGHT, SimConfig, dbm_to_watts
 from .power import compute_ee, iterative_power_allocation, sinr_gamma
@@ -82,24 +83,30 @@ def sample_deployment(config: SimConfig, trial_seed) -> Deployment:
     """Uniform-in-disk positions; UAV fixed at the cell center.
 
     Draw order (UE radii, UE azimuths, tag radii, tag azimuths) is part
-    of the reproducibility contract.  The UEs, the tags and the UAV are
-    read-only views of one record array, the UAV its last record at
-    radius 0, since the deployment caches their links (see Deployment).
+    of the reproducibility contract.  The radii and azimuths are drawn
+    into the x and y rows of the deployment's one (3, n_ues + n_tags + 1)
+    block and turned into coordinates in place; the UAV is its last
+    column, at radius 0.  The block is read-only, since the deployment
+    caches its links (see Deployment).
     """
     n, m = config.n_ues, config.n_tags
-    r, phi = np.zeros((2, n + m + 1))
+    xyz = np.empty((3, n + m + 1))
+    r, phi, z = xyz
     rng = np.random.default_rng(trial_seed)
     for out in (r[:n], phi[:n], r[n:-1], phi[n:-1]):
         rng.random(out=out)
+    r[-1] = phi[-1] = 0.0
     np.sqrt(r, out=r)
     r *= config.coverage_radius
     phi *= 2.0 * np.pi
-    z = np.full(n + m + 1, TAG_HEIGHT)
-    z[:n] = UE_HEIGHT
-    z[-1] = config.uav_altitude
-    nodes = positions(r * np.cos(phi), r * np.sin(phi), z)
-    nodes.flags.writeable = False
-    return Deployment(nodes[:n], nodes[n:-1], nodes[-1])
+    cos = np.cos(phi)
+    np.sin(phi, out=phi)
+    phi *= r  # y = r sin(phi)
+    r *= cos  # x = r cos(phi)
+    z[:n], z[n:-1], z[-1] = UE_HEIGHT, TAG_HEIGHT, config.uav_altitude
+    check_coordinates(xyz, z)
+    xyz.flags.writeable = False
+    return Deployment.from_rows(xyz, n)
 
 
 def evaluate_mode(config: SimConfig, deployment: Deployment,

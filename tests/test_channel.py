@@ -152,6 +152,21 @@ def random_points(rng, n, half_width, z):
 
 
 class TestEffectiveGains:
+    def test_gains_follow_the_given_positions(self):
+        # the deployment caches its links, so neither the records it was
+        # built from nor its own records may move its UE afterwards
+        params = ChannelParams()
+        ues = positions([10.0], [0.0], 1.5)
+        dep = Deployment(ues, positions([], [], 1.0), uav_at(0, 0, 100))
+        near = effective_gains(dep, params).direct_gain.tobytes()
+        ues["x"][0] = 250.0
+        with pytest.raises(ValueError, match="read-only"):
+            dep.ue_positions["x"][0] = 250.0
+        assert dep.ue_positions["x"].tolist() == [10.0]
+        assert effective_gains(dep, params).direct_gain.tobytes() == near
+        moved = Deployment(ues, dep.tag_positions, dep.uav_position)
+        assert effective_gains(moved, params).direct_gain.tobytes() != near
+
     def test_no_ue_rejected(self):
         dep = Deployment(positions([], [], 1.5), positions([5], [5], 1.0),
                          uav_at(0, 0, 100))

@@ -235,18 +235,38 @@ class TestOptimalSplitsAgainstReference:
         if np.all(np.isfinite(wcss)):
             assert elbow_select_k(wcss) == reference.elbow_select_k(ref_wcss)
 
-    @pytest.mark.parametrize("kind", ["random", "integer ties", "constant"])
-    def test_every_n_up_to_130(self, kind):
+    @staticmethod
+    def every_n_up_to_130(kind):
+        """Features of each n = 1..130 of one kind, from one seed."""
         rng = np.random.default_rng(61)
         for n in range(1, 131):
             if kind == "random":
-                x = rng.normal(-90.0, 8.0, size=n)
+                yield rng.normal(-90.0, 8.0, size=n)
             elif kind == "integer ties":
-                x = rng.integers(-3, 4, size=n).astype(float)
+                yield rng.integers(-3, 4, size=n).astype(float)
             else:
-                x = np.full(n, rng.normal(-90.0, 8.0))
-            for k_max in sorted({1, 2, n}):
+                yield np.full(n, rng.normal(-90.0, 8.0))
+
+    @pytest.mark.parametrize("kind", ["random", "integer ties", "constant"])
+    def test_every_n_up_to_130(self, kind):
+        for x in self.every_n_up_to_130(kind):
+            for k_max in sorted({1, 2, x.size}):
                 self.assert_matches(x, k_max)
+
+    @pytest.mark.parametrize("kind", ["random", "integer ties", "constant"])
+    def test_cost_edges_are_the_matrix_edges(self, kind):
+        # column 0 and row n, built in O(n) from slices without a mask,
+        # hold the (n + 1)^2 matrix's bytes, inf at the empty runs
+        for x in self.every_n_up_to_130(kind):
+            xs = np.sort(x) - x.mean()
+            s1, s2 = (np.concatenate(([0.0], np.cumsum(v)))
+                      for v in (xs, xs * xs))
+            ramp = np.arange(x.size + 1.0)
+            first, last = clustering._cost_edges(s1, s2, ramp)
+            cost = clustering._cost_matrix(s1, s2, ramp)
+            assert first.tobytes() == cost[:, 0].tobytes()
+            assert last.tobytes() == cost[x.size].tobytes()
+            assert math.isinf(first[0]) and math.isinf(last[x.size])
 
     def test_k_max_past_n(self):
         # WCSS inf from k = n + 1 on, a curve the elbow refuses

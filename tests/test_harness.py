@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambcsim.channel import ChannelParams, a2g_path_loss
+from ambcsim.channel import ChannelParams, a2g_path_loss, positions
 from ambcsim.config import ConfigError, SimConfig, _cell_gains, dbm_to_watts
 from ambcsim import clustering, harness
 from ambcsim.harness import (Aggregate, EeReport, derive_trial_seed,
@@ -43,6 +43,33 @@ class TestSampleDeployment:
         assert dep.uav_position.item() == (0.0, 0.0, cfg.uav_altitude)
         assert math.copysign(1.0, dep.uav_position.x) == 1.0
         assert math.copysign(1.0, dep.uav_position.y) == 1.0
+
+    def test_rows_and_records_read_only(self):
+        # the deployment caches its links to the UAV, so no write may
+        # reach its coordinates; each record view is positions() of its
+        # rows, byte for byte
+        cfg = small_config(n_ues=7, n_tags=5)
+        dep = sample_deployment(cfg, 11)
+        xyz = dep.xyz
+        assert xyz.shape == (3, 13) and not xyz.flags.writeable
+        rows = {"ue": xyz[:, :7], "tag": xyz[:, 7:-1], "uav": xyz[:, -1]}
+        views = {"ue": dep.ue_positions, "tag": dep.tag_positions,
+                 "uav": dep.uav_position}
+        for part, view in views.items():
+            assert view.dtype == positions(*rows[part]).dtype
+            assert view.tobytes() == positions(*rows[part]).tobytes()
+            for c in "xyz":
+                with pytest.raises(ValueError, match="read-only"):
+                    if part == "uav":
+                        view[c] = 1.0
+                    else:
+                        view[c][0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            xyz[2, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            dep.uav_position.x = 1.0
+        links = dep.uav_links(cfg.channel)
+        assert not any(a.flags.writeable for a in links)
 
     def test_bit_identical_determinism(self):
         cfg = small_config()
