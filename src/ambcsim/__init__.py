@@ -2,7 +2,7 @@
 tags, k-means NOMA grouping, and minimum-power allocation."""
 
 from .channel import (ChannelParams, ChannelState, a2g_path_loss,
-                      effective_gains, noise_power, positions)
+                      effective_gains, noise_power)
 from .clustering import (ClusterPlan, allocate_subcarriers, elbow_select_k,
                          group_users, kmeans)
 from .config import ConfigError, SimConfig, dbm_to_watts

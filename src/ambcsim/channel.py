@@ -6,8 +6,11 @@ Mean path loss follows the probabilistic LoS/NLoS urban model
                    + (1 - P_LoS(theta)) * eta_nlos
 
 with FSPL(d, f) = 20 log10(4 pi d f / c) and the logistic LoS probability
-P_LoS(theta) = 1 / (1 + a exp(-b (theta_deg - a))).  The model is
-deterministic: it evaluates the mean path loss, no fading is drawn.
+P_LoS(theta) = 1 / (1 + a exp(-b (theta_deg - a))) (Al-Hourani, Kandeepan
+and Jamalipour, IEEE GLOBECOM 2014; Al-Hourani, Kandeepan and Lardner,
+"Optimal LAP altitude for maximum coverage", IEEE WCL 3(6), 2014, whose
+urban set is the default).  The model is deterministic: it evaluates the
+mean path loss, no fading is drawn.
 
 A backscatter tag contributes the cascaded two-hop gain
 beta * g(ue -> tag) * g(tag -> uav).  Only the best tag per UE is kept
@@ -18,11 +21,6 @@ gain g2, rules out nearly every UE-tag pair.  One 4-term matmul builds h
 for the whole UE x tag block; its rounding error is bounded and allowed
 for, and the exact cascaded gain is evaluated only on the pairs the
 bound keeps, so the matmul's bits never reach a result (see _best_tags).
-
-One pass over the links to the UAV serves both modes of a trial: a
-Deployment holds every node's coordinate rows in one read-only block and
-caches each node's UAV-link gain, and the baseline mode reads the UEs'
-direct gains from that cache.
 """
 
 import functools
@@ -45,31 +43,6 @@ BOUND_SLACK = 1e-9
 _GAMMA_10 = 10 * 2.0 ** -53 / (1.0 - 10 * 2.0 ** -53)
 # Largest rounding allowance delta of the best-tag bound (see _best_tags)
 DELTA_MAX = 1e-6
-
-# Points in cell coordinates; z is height above ground in meters.  The
-# element type is np.record, so one point reads as p.x, p.y, p.z, and a
-# whole column as a["x"].
-XYZ = np.dtype((np.record, [("x", float), ("y", float), ("z", float)]))
-
-
-def positions(x, y, z):
-    """XYZ record array of the points (x, y, z), broadcast together.
-
-    Every coordinate must be finite and every height z >= 0.
-    """
-    out = np.empty(np.broadcast(x, y, z).shape, dtype=XYZ)
-    out["x"], out["y"], out["z"] = x, y, z
-    check_coordinates(out.reshape(-1).view(float), out["z"])
-    return out
-
-
-def check_coordinates(coordinates, z):
-    """Refuse points unless every coordinate is finite and every height z
-    >= 0, the non-finite first."""
-    if not np.isfinite(coordinates).all():
-        raise ValueError("position coordinates must be finite")
-    if (z < 0).any():
-        raise ValueError("height z must be >= 0")
 
 
 class ConfigError(ValueError):
@@ -190,42 +163,31 @@ def _link_gain(dx, dy, dz, params: ChannelParams):
 class Deployment:
     """The nodes of one trial as one read-only (3, n_ues + n_tags + 1)
     block xyz of coordinate rows x, y and z: the UEs, then the tags, then
-    the UAV.
+    the UAV.  It keeps a copy of the given rows, refused unless every
+    coordinate is finite and every height z >= 0, the non-finite first.
 
-    Built from XYZ records (as positions returns them), it copies their
-    coordinates into its own rows; harness.sample_deployment writes its
-    rows in place (see from_rows).  ue_positions, tag_positions and
-    uav_position are read-only XYZ records of the rows, built when first
-    read.  One link pass serves both modes of a trial: uav_links computes
-    every node's link to the UAV once per ChannelParams and caches it
-    here, which the read-only rows keep true to the positions.
+    One link pass serves both modes of a trial: uav_links computes every
+    node's link to the UAV once per ChannelParams and caches it here,
+    which the read-only copy keeps true to the positions.  ue_positions,
+    tag_positions and uav_position are read-only x, y, z records of the
+    rows, built when first read, for the benchmark's checks.
     """
 
-    def __init__(self, ue_positions, tag_positions, uav_position):
-        xyz = np.array([np.hstack([ue_positions[c], tag_positions[c],
-                                   uav_position[c]]) for c in "xyz"])
+    def __init__(self, xyz, n_ues):
+        xyz = np.array(xyz, dtype=float)
+        if not np.isfinite(xyz).all():
+            raise ValueError("position coordinates must be finite")
+        if (xyz[2] < 0).any():
+            raise ValueError("height z must be >= 0")
         xyz.flags.writeable = False
-        self.xyz, self.n_ues, self._links = xyz, len(ue_positions), None
+        self.xyz, self.n_ues, self._links = xyz, n_ues, None
 
-    @classmethod
-    def from_rows(cls, xyz, n_ues):
-        """The deployment whose block is xyz itself, read-only, its first
-        n_ues columns the UEs."""
-        deployment = cls.__new__(cls)
-        deployment.xyz, deployment.n_ues, deployment._links = xyz, n_ues, None
-        return deployment
-
-    @functools.cached_property
-    def ue_positions(self):
-        return _records(self.xyz[:, :self.n_ues])
-
-    @functools.cached_property
-    def tag_positions(self):
-        return _records(self.xyz[:, self.n_ues:-1])
-
-    @functools.cached_property
-    def uav_position(self):
-        return _records(self.xyz[:, -1])[()]
+    ue_positions = functools.cached_property(
+        lambda self: _view(self.xyz[:, :self.n_ues]))
+    tag_positions = functools.cached_property(
+        lambda self: _view(self.xyz[:, self.n_ues:-1]))
+    uav_position = functools.cached_property(
+        lambda self: _view(self.xyz[:, -1:])[0])
 
     def uav_links(self, params: ChannelParams):
         """(xyz, g): the coordinate rows x, y, z of the UEs, then of the
@@ -245,11 +207,13 @@ class Deployment:
         return links[1:]
 
 
-def _records(rows):
-    """Read-only XYZ records of the coordinate rows x, y, z."""
-    records = positions(*rows)
-    records.flags.writeable = False
-    return records
+def _view(rows):
+    """Read-only x, y, z records of a copy of the coordinate rows, in a
+    third of the time that np.rec.fromarrays takes."""
+    records = np.dtype((np.record, [(c, float) for c in "xyz"]))
+    view = rows.T.copy().view(records)[:, 0]
+    view.flags.writeable = False
+    return view
 
 
 def effective_gains(deployment, params: ChannelParams,

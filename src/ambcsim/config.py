@@ -136,12 +136,12 @@ class SimConfig:
         # deployment's cached links to the UAV (see channel.Deployment)
         # hold 8 bytes more per UE and per tag, its link gain, live from
         # the triad's channel call through the baseline's DP; they slice
-        # the block, so the 24 bytes per UE and per tag counted for a
-        # copy of its rows are spare.
+        # the block.  Deployment copies the sampler's rows, which are then
+        # freed: both fit the 24 + 24 row bytes counted per UE and per tag.
         # The UE x tag block holds 10 bytes per pair at its peak: the
         # float bound, the keep mask and the far-pair compare before it
         # joins the mask.  Each UE and tag holds up to 128 bytes more in
-        # the channel: its coordinate rows (24, and 24 spare), then in
+        # the channel: its coordinate rows (24, the sampler's 24), then in
         # the path-loss pass its link's offsets (24), horizontal
         # distance, distance and elevation (24) and four loss temporaries
         # (32), or in the best-tag bound its hop-2 gain and height offset

@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (Deployment, check_coordinates, effective_gains,
-                      noise_power)
+from .channel import Deployment, effective_gains, noise_power
 from .clustering import ClusterPlan, group_users
 from .config import TAG_HEIGHT, UE_HEIGHT, SimConfig, dbm_to_watts
 from .power import compute_ee, iterative_power_allocation, sinr_gamma
@@ -86,8 +85,8 @@ def sample_deployment(config: SimConfig, trial_seed) -> Deployment:
     of the reproducibility contract.  The radii and azimuths are drawn
     into the x and y rows of the deployment's one (3, n_ues + n_tags + 1)
     block and turned into coordinates in place; the UAV is its last
-    column, at radius 0.  The block is read-only, since the deployment
-    caches its links (see Deployment).
+    column, at radius 0.  Deployment checks the block and keeps a
+    read-only copy, since it caches its links.
     """
     n, m = config.n_ues, config.n_tags
     xyz = np.empty((3, n + m + 1))
@@ -104,9 +103,7 @@ def sample_deployment(config: SimConfig, trial_seed) -> Deployment:
     phi *= r  # y = r sin(phi)
     r *= cos  # x = r cos(phi)
     z[:n], z[n:-1], z[-1] = UE_HEIGHT, TAG_HEIGHT, config.uav_altitude
-    check_coordinates(xyz, z)
-    xyz.flags.writeable = False
-    return Deployment.from_rows(xyz, n)
+    return Deployment(xyz, n)
 
 
 def evaluate_mode(config: SimConfig, deployment: Deployment,

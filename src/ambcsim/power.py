@@ -29,8 +29,9 @@ class PowerSolution:
 
     power: np.ndarray          # watts, 0 for outage UEs
     outage: np.ndarray         # bool
-    # Always 1: the scan solves the ladder once.  Kept because the
-    # benchmark's power.fixed_point_sweeps_per_trial metric reads it.
+    # Always 1: the admission scan has no fixed-point loop.  The traced
+    # bench emits power.fixed_point_sweeps_per_trial only while this
+    # field exists, and tests/test_bench_contract.py requires it.
     iterations: int
 
 

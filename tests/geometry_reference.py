@@ -2,12 +2,12 @@
 
 The scalar functions take one point and one link at a time, independent
 of the vectorised UE x tag arrays in ``ambcsim.channel.effective_gains``.
-Each takes any object with ``x``, ``y`` and ``z`` attributes: a
-``Position`` here or one element of an ``ambcsim.channel.positions``
-record array.  ``full_block_gains`` evaluates the exact cascaded gain of
-every UE-tag pair and takes the argmax, the computation that
-``effective_gains`` narrows with a distance bound to the pairs that the
-bound cannot rule out, re-checked with the exact formula.
+Each takes any object with ``x``, ``y`` and ``z`` attributes, such as a
+``Position`` here.  ``full_block_gains`` evaluates, from the coordinate
+rows of a ``Deployment``, the exact cascaded gain of every UE-tag pair
+and takes the argmax, the computation that ``effective_gains`` narrows
+with a distance bound to the pairs that the bound cannot rule out,
+re-checked with the exact formula.
 """
 
 import math
@@ -63,30 +63,28 @@ def cascaded_backscatter_gain(ue, tag, uav, params: ChannelParams) -> float:
 def full_block_gains(deployment, params: ChannelParams,
                      ambc_enabled: bool = True) -> ChannelState:
     """``effective_gains`` evaluated exactly over the whole UE x tag block."""
-    ues = deployment.ue_positions
-    uav = deployment.uav_position
+    n = deployment.n_ues
+    (ux, tx, ax), (uy, ty, ay), (uz, tz, az) = (
+        (row[:n], row[n:-1], row[-1]) for row in deployment.xyz)
 
-    horiz = np.hypot(uav["x"] - ues["x"], uav["y"] - ues["y"])
-    dz = uav["z"] - ues["z"]
+    horiz = np.hypot(ax - ux, ay - uy)
+    dz = az - uz
     dist = np.hypot(horiz, dz)
     angle = np.arctan2(dz, horiz)
     direct = 10.0 ** (-a2g_path_loss(dist, angle, params) / 10.0)
 
-    n = ues.size
     backscatter = np.zeros(n)
     best = np.full(n, -1)
 
-    tags = deployment.tag_positions
-    if ambc_enabled and tags.size and params.reflection_coeff > 0.0:
+    if ambc_enabled and tx.size and params.reflection_coeff > 0.0:
         # hop 1: UE -> tag, (n_ue, n_tag)
-        d1h = np.hypot(ues["x"][:, None] - tags["x"][None, :],
-                       ues["y"][:, None] - tags["y"][None, :])
-        d1z = np.abs(ues["z"][:, None] - tags["z"][None, :])
+        d1h = np.hypot(ux[:, None] - tx[None, :], uy[:, None] - ty[None, :])
+        d1z = np.abs(uz[:, None] - tz[None, :])
         d1 = np.hypot(d1h, d1z)
         g1 = 10.0 ** (-a2g_path_loss(d1, np.arctan2(d1z, d1h), params) / 10.0)
         # hop 2: tag -> UAV, (n_tag,)
-        d2h = np.hypot(uav["x"] - tags["x"], uav["y"] - tags["y"])
-        d2z = np.abs(uav["z"] - tags["z"])
+        d2h = np.hypot(ax - tx, ay - ty)
+        d2z = np.abs(az - tz)
         d2 = np.hypot(d2h, d2z)
         g2 = 10.0 ** (-a2g_path_loss(d2, np.arctan2(d2z, d2h), params) / 10.0)
 

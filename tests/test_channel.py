@@ -7,11 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ambcsim.channel import (FAR_TAN, ChannelParams, a2g_path_loss,
-                             effective_gains, noise_power, positions,
+from ambcsim.channel import (FAR_TAN, ChannelParams, Deployment,
+                             a2g_path_loss, effective_gains, noise_power,
                              SPEED_OF_LIGHT)
 from ambcsim.config import SimConfig
-from ambcsim.harness import Deployment, sample_deployment
+from ambcsim.harness import sample_deployment
 from geometry_reference import (Position, cascaded_backscatter_gain,
                                 elevation_angle, full_block_gains)
 
@@ -110,6 +110,45 @@ class TestA2gPathLoss:
         assert loss == a2g_path_loss(100.0, 1.5, FLAT) + p.eta_nlos
 
 
+class TestOptimalElevation:
+    """The LoS model is that of Al-Hourani, Kandeepan and Lardner,
+    "Optimal LAP altitude for maximum coverage", IEEE WCL 3(6), 2014.  At
+    a fixed path loss the coverage radius R = d cos(theta) is largest at
+    the elevation that maximises log10 cos(theta) - PL(1 m, theta) / 20,
+    which the letter gives for its four environments."""
+
+    @pytest.mark.parametrize("params, theta_opt", [
+        (ChannelParams(plos_a=4.88, plos_b=0.43, eta_los=0.1,
+                       eta_nlos=21.0), 20.34),
+        (ChannelParams(), 42.44),
+        (ChannelParams(plos_a=12.08, plos_b=0.11, eta_los=1.6,
+                       eta_nlos=23.0), 54.62),
+        (ChannelParams(plos_a=27.23, plos_b=0.08, eta_los=2.3,
+                       eta_nlos=34.0), 75.52),
+    ], ids=["suburban", "urban", "dense-urban", "highrise-urban"])
+    def test_optimal_elevation(self, params, theta_opt):
+        def coverage(theta):
+            return (math.log10(math.cos(theta))
+                    - float(a2g_path_loss(1.0, theta, params)) / 20.0)
+
+        # golden-section search for the maximum on (0, 90 deg)
+        ratio = (math.sqrt(5.0) - 1.0) / 2.0
+        lo, hi = 0.0, math.pi / 2
+        c, d = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        fc, fd = coverage(c), coverage(d)
+        while hi - lo > 1e-10:
+            if fc > fd:
+                hi, d, fd = d, c, fc
+                c = hi - ratio * (hi - lo)
+                fc = coverage(c)
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + ratio * (hi - lo)
+                fd = coverage(d)
+        theta = math.degrees(0.5 * (lo + hi))
+        assert theta == pytest.approx(theta_opt, abs=0.01)
+
+
 class TestCascadedBackscatterGain:
     def test_zero_reflection(self):
         p = ChannelParams(reflection_coeff=0.0)
@@ -142,48 +181,54 @@ class TestCascadedBackscatterGain:
                                       Position(0, 0, 100), p)
 
 
-def uav_at(x, y, z):
-    return positions(x, y, z)[()]
+def rows(x, y, z):
+    """(3, N) coordinate rows of the points (x, y, z), broadcast together
+    and flattened."""
+    return np.array(np.broadcast_arrays(x, y, z), dtype=float).reshape(3, -1)
+
+
+def deploy(ues, tags, uav=(0.0, 0.0, 100.0)):
+    """The Deployment of the UE rows, the tag rows and the UAV point."""
+    return Deployment(np.hstack([ues, tags, np.reshape(uav, (3, 1))]),
+                      ues.shape[1])
 
 
 def random_points(rng, n, half_width, z):
     xy = rng.uniform(-half_width, half_width, (n, 2))
-    return positions(xy[:, 0], xy[:, 1], z)
+    return rows(xy[:, 0], xy[:, 1], z)
 
 
 class TestEffectiveGains:
     def test_gains_follow_the_given_positions(self):
-        # the deployment caches its links, so neither the records it was
-        # built from nor its own records may move its UE afterwards
+        # the deployment caches its links, so neither the rows it was
+        # built from nor its record views may move its UE afterwards
         params = ChannelParams()
-        ues = positions([10.0], [0.0], 1.5)
-        dep = Deployment(ues, positions([], [], 1.0), uav_at(0, 0, 100))
+        xyz = np.hstack([rows([10.0], [0.0], 1.5), rows(0.0, 0.0, 100.0)])
+        dep = Deployment(xyz, 1)
         near = effective_gains(dep, params).direct_gain.tobytes()
-        ues["x"][0] = 250.0
+        xyz[0, 0] = 250.0
         with pytest.raises(ValueError, match="read-only"):
             dep.ue_positions["x"][0] = 250.0
+        assert dep.xyz[0].tolist() == [10.0, 0.0]
         assert dep.ue_positions["x"].tolist() == [10.0]
         assert effective_gains(dep, params).direct_gain.tobytes() == near
-        moved = Deployment(ues, dep.tag_positions, dep.uav_position)
+        moved = Deployment(xyz, 1)
         assert effective_gains(moved, params).direct_gain.tobytes() != near
 
     def test_no_ue_rejected(self):
-        dep = Deployment(positions([], [], 1.5), positions([5], [5], 1.0),
-                         uav_at(0, 0, 100))
+        dep = deploy(rows([], [], 1.5), rows([5], [5], 1.0))
         with pytest.raises(ValueError,
                            match="^deployment must contain at least one UE$"):
             effective_gains(dep, ChannelParams())
 
     def test_disabled_backscatter_equals_direct(self):
-        dep = Deployment(positions([10, -50], [0, 30], 1.5),
-                         positions([5], [5], 1.0), uav_at(0, 0, 100))
+        dep = deploy(rows([10, -50], [0, 30], 1.5), rows([5], [5], 1.0))
         state = effective_gains(dep, ChannelParams(), ambc_enabled=False)
         np.testing.assert_array_equal(state.effective_gain, state.direct_gain)
         assert np.array_equal(state.best_tag_index, [-1, -1])
 
     def test_best_tag_is_argmax(self):
-        dep = Deployment(positions([100], [0], 1.5),
-                         positions([200, 90], [0, 0], 1.0), uav_at(0, 0, 100))
+        dep = deploy(rows([100], [0], 1.5), rows([200, 90], [0, 0], 1.0))
         state = effective_gains(dep, ChannelParams(), ambc_enabled=True)
         g0 = cascaded_backscatter_gain(dep.ue_positions[0],
                                        dep.tag_positions[0],
@@ -197,8 +242,7 @@ class TestEffectiveGains:
                                                           abs=0.0)
 
     def test_overhead_gain_matches_fspl(self):
-        dep = Deployment(positions([0], [0], 0), positions([], [], 1.0),
-                         uav_at(0, 0, 100))
+        dep = deploy(rows([0], [0], 0), rows([], [], 1.0))
         state = effective_gains(dep, FLAT, ambc_enabled=True)
         assert state.effective_gain[0] == pytest.approx(1.426e-8, rel=0.01)
 
@@ -206,7 +250,7 @@ class TestEffectiveGains:
         rng = np.random.default_rng(11)
         ues = random_points(rng, 20, 200, 1.5)
         tags = random_points(rng, 5, 200, 1.0)
-        dep = Deployment(ues, tags, uav_at(0, 0, 100))
+        dep = deploy(ues, tags)
         state = effective_gains(dep, ChannelParams(), ambc_enabled=True)
         assert np.all(state.effective_gain > state.direct_gain)
         assert np.all(state.backscatter_gain > 0)
@@ -215,7 +259,7 @@ class TestEffectiveGains:
         rng = np.random.default_rng(12)
         ues = random_points(rng, 10, 250, 1.5)
         tags = random_points(rng, 4, 250, 1.0)
-        dep = Deployment(ues, tags, uav_at(0, 0, 100))
+        dep = deploy(ues, tags)
         prev = None
         for beta in (0.0, 0.2, 0.5, 1.0):
             state = effective_gains(dep, ChannelParams(reflection_coeff=beta))
@@ -227,7 +271,7 @@ class TestEffectiveGains:
         rng = np.random.default_rng(13)
         ues = random_points(rng, 10, 250, 1.5)
         tags = random_points(rng, 4, 250, 1.0)
-        dep = Deployment(ues, tags, uav_at(0, 0, 100))
+        dep = deploy(ues, tags)
         s1 = effective_gains(dep, ChannelParams())
         s2 = effective_gains(dep, ChannelParams())
         assert np.array_equal(s1.effective_gain, s2.effective_gain)
@@ -238,17 +282,16 @@ class TestEffectiveGains:
         rng = np.random.default_rng(17)
         # the two tags mirror each other about the UE below the UAV, so
         # their gains tie exactly and the lower index must win
-        deployments = [Deployment(positions([0], [0], 1.5),
-                                  positions([-10, 10], [0, 0], 1.0),
-                                  uav_at(0, 0, 100))]
+        deployments = [deploy(rows([0], [0], 1.5),
+                              rows([-10, 10], [0, 0], 1.0))]
         for trial in range(40):
             ues = random_points(rng, int(rng.integers(1, 21)), 300, 1.5)
             tags = random_points(rng, int(rng.integers(0, 9)), 300, 1.0)
             if trial % 2:
-                uav = uav_at(*rng.uniform(-100, 100, 2), 100.0)
+                uav = (*rng.uniform(-100, 100, 2), 100.0)
             else:
-                uav = uav_at(0, 0, 100)
-            deployments.append(Deployment(ues, tags, uav))
+                uav = (0, 0, 100)
+            deployments.append(deploy(ues, tags, uav))
         for dep, ambc in itertools.product(deployments, (True, False)):
             uav = dep.uav_position
             state = effective_gains(dep, params, ambc_enabled=ambc)
@@ -286,11 +329,11 @@ def mixed_height_deployments():
     rng = np.random.default_rng(23)
     for n_ues, n_tags, uav_z in itertools.product((1, 13, 100),
                                                   (2, 10, 1000), (100, 4)):
-        ues = positions(*rng.uniform(-300, 300, (2, n_ues)),
-                        rng.uniform(0.0, 3.0, n_ues))
-        tags = positions(*rng.uniform(-300, 300, (2, n_tags)),
-                         rng.uniform(0.0, 6.0, n_tags))
-        yield Deployment(ues, tags, uav_at(*rng.uniform(-50, 50, 2), uav_z))
+        ues = rows(*rng.uniform(-300, 300, (2, n_ues)),
+                   rng.uniform(0.0, 3.0, n_ues))
+        tags = rows(*rng.uniform(-300, 300, (2, n_tags)),
+                    rng.uniform(0.0, 6.0, n_tags))
+        yield deploy(ues, tags, (*rng.uniform(-50, 50, 2), uav_z))
 
 
 def near_tag_deployments():
@@ -301,10 +344,10 @@ def near_tag_deployments():
         ues = random_points(rng, n_ues, 300, 1.5)
         r = rng.uniform(0.0, 15.0, (n_ues, 4))
         phi = rng.uniform(0.0, 2.0 * math.pi, (n_ues, 4))
-        near = positions((ues["x"][:, None] + r * np.cos(phi)).ravel(),
-                         (ues["y"][:, None] + r * np.sin(phi)).ravel(), 1.0)
-        tags = np.concatenate((random_points(rng, 50, 300, 1.0), near))
-        yield Deployment(ues, tags, uav_at(0, 0, 100))
+        near = rows((ues[0][:, None] + r * np.cos(phi)).ravel(),
+                    (ues[1][:, None] + r * np.sin(phi)).ravel(), 1.0)
+        tags = np.hstack((random_points(rng, 50, 300, 1.0), near))
+        yield deploy(ues, tags)
 
 
 class TestScreenedBestTag:
@@ -322,9 +365,8 @@ class TestScreenedBestTag:
 
     def test_exact_tie_goes_to_lower_index(self):
         # tags 1 and 2 mirror each other about the UE below the UAV
-        dep = Deployment(positions([0], [0], 1.5),
-                         positions([50, -10, 10], [0, 0, 0], 1.0),
-                         uav_at(0, 0, 100))
+        dep = deploy(rows([0], [0], 1.5),
+                     rows([50, -10, 10], [0, 0, 0], 1.0))
         params = ChannelParams()
         g = [cascaded_backscatter_gain(dep.ue_positions[0], tag,
                                        dep.uav_position, params)
@@ -335,9 +377,8 @@ class TestScreenedBestTag:
 
     def test_near_tie_inside_window_decided_exactly(self):
         # tag 0 sits 1e-8 m farther out than tag 1's mirror image
-        dep = Deployment(positions([0], [0], 1.5),
-                         positions([-10.00000001, 10], [0, 0], 1.0),
-                         uav_at(0, 0, 100))
+        dep = deploy(rows([0], [0], 1.5),
+                     rows([-10.00000001, 10], [0, 0], 1.0))
         params = ChannelParams()
         g = [cascaded_backscatter_gain(dep.ue_positions[0], tag,
                                        dep.uav_position, params)
@@ -366,9 +407,7 @@ class TestScreenedBestTag:
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if gap(mid) < 0 else (lo, mid)
         assert gap(hi) == pytest.approx(0.0, abs=1e-9)
-        dep = Deployment(positions([0], [0], 1.5),
-                         positions([0, 10], [hi, 0], [10, 1]),
-                         uav_at(0, 0, 100))
+        dep = deploy(rows([0], [0], 1.5), rows([0, 10], [hi, 0], [10, 1]))
         state = assert_matches_full_block(dep, params)
         assert np.array_equal(state.best_tag_index, [1 if gap_db > 0 else 0])
 
@@ -397,9 +436,8 @@ class TestScreenedBestTag:
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if gap(mid) < 0 else (lo, mid)
         assert gap(hi) == pytest.approx(0.0, abs=1e-10)
-        dep = Deployment(positions([0], [0], 1.5),
-                         positions([x0, -hi], [0, 0], [1.5, 3.5]),
-                         uav_at(0, 0, 100))
+        dep = deploy(rows([0], [0], 1.5),
+                     rows([x0, -hi], [0, 0], [1.5, 3.5]))
         state = assert_matches_full_block(dep, params)
         assert np.array_equal(state.best_tag_index, [0 if gap_db > 0 else 1])
 
@@ -407,17 +445,17 @@ class TestScreenedBestTag:
         # exact gains all underflow, hop 2 alone too, so every lower bound
         # is 0 and every pair is re-checked; the squared horizontal
         # distances of tags 0 and 2 overflow in the bound
-        far = positions([1e200, 1e150, 0], [0, 0, -1e200], 1.0)
-        ues = positions([0, 100], [0, -50], 1.5)
-        dep = Deployment(ues, far, uav_at(0, 0, 100))
+        far = rows([1e200, 1e150, 0], [0, 0, -1e200], 1.0)
+        ues = rows([0, 100], [0, -50], 1.5)
+        dep = deploy(ues, far)
         state = assert_matches_full_block(dep, ChannelParams())
         assert np.array_equal(state.best_tag_index, [0, 0])
         assert np.array_equal(state.backscatter_gain, [0.0, 0.0])
         assert np.array_equal(state.effective_gain, state.direct_gain)
         # one tag in range wins over the far ones
-        mixed = positions([1e200, 20], [0, 0], 1.0)
+        mixed = rows([1e200, 20], [0, 0], 1.0)
         state = assert_matches_full_block(
-            Deployment(ues, mixed, uav_at(0, 0, 100)), ChannelParams())
+            deploy(ues, mixed), ChannelParams())
         assert np.array_equal(state.best_tag_index, [1, 1])
         assert np.all(state.backscatter_gain > 0)
 
@@ -448,9 +486,8 @@ class TestScreenedBestTag:
                     + 0.25)
         exact = (Fraction(ue.x) - Fraction(tag0.x)) ** 2 + Fraction(0.25)
         assert abs(Fraction(expanded) / exact - 1) > 1e-9
-        dep = Deployment(positions([x0], [0.0], 1.5),
-                         positions([tag0.x, x0 - hi], [0.0, 0.0], [1.5, 2.0]),
-                         uav_at(0, 0, 100))
+        dep = deploy(rows([x0], [0.0], 1.5),
+                     rows([tag0.x, x0 - hi], [0.0, 0.0], [1.5, 2.0]))
         state = assert_matches_full_block(dep, params)
         assert np.array_equal(state.best_tag_index, [0])
 
@@ -465,8 +502,8 @@ class TestScreenedBestTag:
 
         monkeypatch.setattr("ambcsim.channel.a2g_path_loss", recording)
         rng = np.random.default_rng(31)
-        dep = Deployment(random_points(rng, 13, 300, 1.0),
-                         random_points(rng, 40, 300, 1.0), uav_at(0, 0, 100))
+        dep = deploy(random_points(rng, 13, 300, 1.0),
+                     random_points(rng, 40, 300, 1.0))
         state = assert_matches_full_block(dep,
                                           ChannelParams(reflection_coeff=0.3))
         assert sizes[1] < 13 * 40
@@ -485,25 +522,23 @@ class TestScreenedBestTag:
         g2 = 10.0 ** (-a2g_path_loss(math.hypot(horiz, dz),
                                      math.atan2(dz, horiz), params) / 10.0)
         assert g2 < np.finfo(float).tiny
-        dep = Deployment(positions([0.0, 50.0], [0.0, 20.0], 1.5),
-                         positions([0.1, far.x, 50.1], [0.0, 0.0, 20.0], 1.0),
-                         uav_at(0, 0, 100))
+        dep = deploy(rows([0.0, 50.0], [0.0, 20.0], 1.5),
+                     rows([0.1, far.x, 50.1], [0.0, 0.0, 20.0], 1.0))
         state = assert_matches_full_block(dep, params)
         assert np.array_equal(state.best_tag_index, [0, 2])
         assert np.all(state.backscatter_gain > 0)
 
     def test_mixed_heights_match_full_block(self):
         for dep in mixed_height_deployments():
-            gaps = np.abs(dep.ue_positions["z"][:, None]
-                          - dep.tag_positions["z"])
+            n, z = dep.n_ues, dep.xyz[2]
+            gaps = np.abs(z[:n, None] - z[n:-1])
             assert gaps.min() < gaps.max()
             assert_matches_full_block(dep, ChannelParams(reflection_coeff=0.3))
 
     def test_tags_near_ues_match_full_block(self):
         for dep in near_tag_deployments():
-            ues, tags = dep.ue_positions, dep.tag_positions
-            horiz = np.hypot(ues["x"][:, None] - tags["x"],
-                             ues["y"][:, None] - tags["y"])
+            n, (x, y, _) = dep.n_ues, dep.xyz
+            horiz = np.hypot(x[:n, None] - x[n:-1], y[:n, None] - y[n:-1])
             near = horiz <= 0.5 / FAR_TAN
             assert near.any() and not near.all()
             state = assert_matches_full_block(
@@ -563,11 +598,9 @@ class TestScreenedBestTag:
             assert sum(sizes[1:]) < 0.01 * 20 * 200
 
     def test_tag_on_a_ue_or_on_the_uav_rejected(self):
-        ues = positions([0, 5], [0, 5], [1.5, 1.0])
-        on_ue = Deployment(ues, positions([30, 5], [0, 5], 1.0),
-                           uav_at(0, 0, 100))
-        on_uav = Deployment(ues, positions([30, 0], [0, 0], [1.0, 100]),
-                            uav_at(0, 0, 100))
+        ues = rows([0, 5], [0, 5], [1.5, 1.0])
+        on_ue = deploy(ues, rows([30, 5], [0, 5], 1.0))
+        on_uav = deploy(ues, rows([30, 0], [0, 0], [1.0, 100]))
         calls = [(gains, dep, True) for dep, gains in itertools.product(
             (on_ue, on_uav), (effective_gains, full_block_gains))]
         # the baseline mode shares the triad's link pass, tags included
@@ -606,15 +639,16 @@ def test_db_linear_round_trip():
 
 def test_position_invariants():
     with pytest.raises(ValueError):
-        positions(0.0, 0.0, -1.0)
+        deploy(rows(0.0, 0.0, -1.0), rows([], [], 1.0))
     with pytest.raises(ValueError):
-        positions(float("nan"), 0.0, 0.0)
+        deploy(rows(float("nan"), 0.0, 0.0), rows([], [], 1.0))
 
 
 def position_args(shape, axis, value):
     """(x, y, z) of a valid point set of the given shape ("0-d", "1-d" or
     "broadcast", a (2, 1) column against a (3,) row and a scalar), with
-    value planted in one entry of coordinate axis."""
+    value planted in one entry of coordinate axis, so that rows() of them
+    holds it in its last point."""
     if shape == "0-d":
         args = [3.0, -4.0, 1.5]
         args[axis] = value
@@ -629,36 +663,54 @@ def position_args(shape, axis, value):
     return args
 
 
+def placements(points):
+    """(xyz, n_ues) of three blocks beside valid nodes: the rows points
+    as the UEs, as the tags, and their last point as the UAV."""
+    valid, uav = rows([3.0, -4.0], [1.0, 2.0], 1.5), rows(0.0, 0.0, 100.0)
+    return [(np.hstack([points, valid, uav]), points.shape[1]),
+            (np.hstack([valid, points, uav]), 2),
+            (np.hstack([valid, valid, points[:, -1:]]), 2)]
+
+
 class TestPositionsValidation:
+    """The Deployment constructor refuses a non-finite coordinate or a
+    negative height in any row and in each node kind."""
+
     SHAPES = ["0-d", "1-d", "broadcast"]
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, shape, axis, value):
-        with pytest.raises(ValueError,
-                           match="^position coordinates must be finite$"):
-            positions(*position_args(shape, axis, value))
+        points = rows(*position_args(shape, axis, value))
+        for xyz, n_ues in placements(points):
+            with pytest.raises(ValueError,
+                               match="^position coordinates must be finite$"):
+                Deployment(xyz, n_ues)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_negative_height_rejected(self, shape):
-        with pytest.raises(ValueError, match="^height z must be >= 0$"):
-            positions(*position_args(shape, 2, -1e-300))
+        for xyz, n_ues in placements(rows(*position_args(shape, 2, -1e-300))):
+            with pytest.raises(ValueError, match="^height z must be >= 0$"):
+                Deployment(xyz, n_ues)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_non_finite_named_before_negative_height(self, shape):
         x, y, z = position_args(shape, 0, math.nan)
-        with pytest.raises(ValueError, match="finite"):
-            positions(x, y, -1.0)
+        for xyz, n_ues in placements(rows(x, y, -1.0)):
+            with pytest.raises(ValueError,
+                               match="^position coordinates must be finite$"):
+                Deployment(xyz, n_ues)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_valid_points_kept(self, shape):
-        x, y, z = position_args(shape, 2, 0.0)
-        out = positions(x, y, z)
-        bx, by, bz = np.broadcast_arrays(x, y, z)
-        assert out.shape == bx.shape
-        for name, want in zip("xyz", (bx, by, bz)):
-            assert np.array_equal(out[name], want)
+        # kept byte for byte, in a read-only copy
+        for xyz, n_ues in placements(rows(*position_args(shape, 2, 0.0))):
+            dep = Deployment(xyz, n_ues)
+            assert dep.xyz.shape == xyz.shape and dep.n_ues == n_ues
+            assert dep.xyz.tobytes() == xyz.tobytes()
+            assert not dep.xyz.flags.writeable
+            assert not np.shares_memory(dep.xyz, xyz)
 
 
 def test_channel_params_invariants():

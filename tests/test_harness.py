@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambcsim.channel import ChannelParams, a2g_path_loss, positions
+from ambcsim.channel import ChannelParams, a2g_path_loss
 from ambcsim.config import ConfigError, SimConfig, _cell_gains, dbm_to_watts
 from ambcsim import clustering, harness
 from ambcsim.harness import (Aggregate, EeReport, derive_trial_seed,
@@ -37,17 +37,17 @@ class TestSampleDeployment:
         dep = sample_deployment(cfg, 42)
         assert len(dep.ue_positions) == 1
         assert len(dep.tag_positions) == cfg.n_tags
-        for p in np.concatenate([dep.ue_positions, dep.tag_positions]):
-            assert math.hypot(p.x, p.y) <= cfg.coverage_radius
-        # the last record of the nodes' array, at radius 0
+        x, y, _ = dep.xyz[:, :-1]
+        assert np.all(np.hypot(x, y) <= cfg.coverage_radius)
+        # the block's last column, at radius 0
         assert dep.uav_position.item() == (0.0, 0.0, cfg.uav_altitude)
         assert math.copysign(1.0, dep.uav_position.x) == 1.0
         assert math.copysign(1.0, dep.uav_position.y) == 1.0
 
     def test_rows_and_records_read_only(self):
         # the deployment caches its links to the UAV, so no write may
-        # reach its coordinates; each record view is positions() of its
-        # rows, byte for byte
+        # reach its coordinates; each record view holds its rows' x, y
+        # and z, byte for byte
         cfg = small_config(n_ues=7, n_tags=5)
         dep = sample_deployment(cfg, 11)
         xyz = dep.xyz
@@ -56,8 +56,8 @@ class TestSampleDeployment:
         views = {"ue": dep.ue_positions, "tag": dep.tag_positions,
                  "uav": dep.uav_position}
         for part, view in views.items():
-            assert view.dtype == positions(*rows[part]).dtype
-            assert view.tobytes() == positions(*rows[part]).tobytes()
+            assert view.dtype.names == ("x", "y", "z")
+            assert view.tobytes() == rows[part].T.tobytes()
             for c in "xyz":
                 with pytest.raises(ValueError, match="read-only"):
                     if part == "uav":
