@@ -246,6 +246,14 @@ def effective_gains(deployment, params: ChannelParams,
     return ChannelState(direct, backscatter, direct + backscatter, best)
 
 
+# Most bytes a trial holds in a triad channel call where numpy reuses no
+# temporary: per UE-tag pair, 9 in the bound (entry, keep mask) and up to
+# 120 in the exact pass (indices 24, offsets 24, |dz|, horizontal
+# distance, distance, elevation 32, five path-loss temporaries 40); per
+# node, its rows (24) and 88 of those kinds in the link pass, 16 spare.
+PAIR_BYTES, NODE_BYTES = 129, 128
+
+
 def _best_tags(xyz, g2, params: ChannelParams):
     """(best tag index, its cascaded gain) of every UE, given the
     coordinate rows xyz of the UEs then the tags and the exact hop-2 gain

@@ -81,6 +81,16 @@ def _cost_matrix(s1, s2, ramp):
     return cost
 
 
+def dp_bytes(n, k_max, n_subcarriers):
+    """Most bytes group_users holds on n UEs: 25 per (n + 1)^2 entry, the
+    17 _cost_matrix peaks at and 8 for the per-UE rows then (it runs at
+    layer 3, so n >= 3), and for each of its k = min(k_max, n,
+    n_subcarriers) layers a split table of n + 1 indices and up to 160
+    bytes for its header and its WCSS entry in both modes."""
+    k = min(k_max, n, n_subcarriers)
+    return 25 * (n + 1) ** 2 + k * (8 * (n + 1) + 160)
+
+
 def _optimal_splits(features):
     """Exact 1-D k-means of a 1-D float array for k = 1, 2, ...
 

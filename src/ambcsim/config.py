@@ -8,14 +8,14 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .channel import (ChannelParams, ConfigError, a2g_path_loss,
-                      check_finite_reals, noise_power)
+from .channel import (NODE_BYTES, PAIR_BYTES, ChannelParams, ConfigError,
+                      a2g_path_loss, check_finite_reals, noise_power)
+from .clustering import dp_bytes
 
 UE_HEIGHT = 1.5   # m, handset
 TAG_HEIGHT = 1.0  # m
-# Bytes that the grouping DP, or the channel's UE x tag block, may take.
-# 4 GiB admits n_ues <= 13100 at k_max = 10, and up to 31122950 tags for
-# one UE.
+# Bytes that one trial may take.  4 GiB admits n_ues <= 13100 at
+# k_max = 10, and up to 16711934 tags for one UE and 329671 for 100.
 MEMORY_BUDGET = 1 << 32
 
 
@@ -119,46 +119,18 @@ class SimConfig:
                               f"n_subcarriers give a noise floor of "
                               f"{lowest:.6g} W on one subcarrier, below "
                               f"the smallest normal float")
-        # At its peak, in a trial's second mode, the grouping DP holds 17
-        # of the 25 bytes counted per (n_ues + 1)^2 entry, building its
-        # cost in the divisor beside a scratch and the empty-run mask; the
-        # other 8 cover its per-UE rows then (k >= 3, so n_ues >= 3).
-        # Each of its k = min(k_max, n_ues, n_subcarriers) layers keeps a
-        # split table of n_ues + 1 indices, with up to 160 bytes for its
-        # header and its WCSS entry in both modes, and the outer subtracts
-        # may take two 64 KiB ufunc buffers.  Each UE then holds up to 160
-        # bytes more (130 in arrays): its one copy of coordinate rows in
-        # the deployment's block (24; no position records are built), the
-        # first mode's assignment, feature (its plan keeps it), power,
-        # outage and served flags (26), its four channel gains (32), its
-        # feature, sort order, centred value and prefix sums (40) and its
-        # D row (8); each tag holds its coordinate rows (24).  The
-        # deployment's cached links to the UAV (see channel.Deployment)
-        # hold 8 bytes more per UE and per tag, its link gain, live from
-        # the triad's channel call through the baseline's DP; they slice
-        # the block.  Deployment copies the sampler's rows, which are then
-        # freed: both fit the 24 + 24 row bytes counted per UE and per tag.
-        # The UE x tag block holds 10 bytes per pair at its peak: the
-        # float bound, the keep mask and the far-pair compare before it
-        # joins the mask.  Each UE and tag holds up to 128 bytes more in
-        # the channel: its coordinate rows (24, the sampler's 24), then in
-        # the path-loss pass its link's offsets (24), horizontal
-        # distance, distance and elevation (24) and four loss temporaries
-        # (32), or in the best-tag bound its hop-2 gain and height offset
-        # (16), its matmul row (32) and, for a tag, its bound's
-        # threshold (8).  The count adds 9 (n_ues + 1)^2 + 8 (n_ues + 1)
-        # bytes, a margin no DP array takes up: the DP frees its matrices
-        # before the next channel call.  A trial needs the larger of the
-        # two counts, and a refusal names the keys of that one.
-        # in Python ints, where a numpy integer count would wrap
+        # Beside the grouping DP a trial holds up to 192 bytes per UE and
+        # 56 per tag (its rows, links, gains and features, and the first
+        # mode's results) and two 64 KiB ufunc buffers; the channel's
+        # figures count the nodes on their own.  A trial needs the larger
+        # count, and a refusal names the keys of that one.  In Python
+        # ints, where a numpy integer count would wrap.
         n, m, k_max, n_sub = map(operator.index, (
             self.n_ues, self.n_tags, self.k_max, self.n_subcarriers))
-        k = min(k_max, n, n_sub)
-        margin = 9 * (n + 1) ** 2 + 8 * (n + 1)
         size, keys = max(
-            (25 * (n + 1) ** 2 + k * (8 * n + 168) + 192 * n + 56 * m
-             + (1 << 17), "n_ues, n_tags, k_max and n_subcarriers"),
-            (10 * n * m + 128 * (n + m) + margin, "n_ues and n_tags"))
+            (dp_bytes(n, k_max, n_sub) + 192 * n + 56 * m + (1 << 17),
+             "n_ues, n_tags, k_max and n_subcarriers"),
+            (PAIR_BYTES * n * m + NODE_BYTES * (n + m), "n_ues and n_tags"))
         if size > MEMORY_BUDGET:
             raise ConfigError(f"{keys} would need {size} bytes, over the "
                               f"{MEMORY_BUDGET}-byte memory budget")

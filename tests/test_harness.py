@@ -542,10 +542,13 @@ class TestValidationOnEveryPath:
         (1, 31_122_951, "n_ues and n_tags"),
         (100, 3_807_584, "n_ues and n_tags"),
         (92, 4_098_241, "n_ues and n_tags"),
-        # the DP's cached constants count from the second trial on
         (100, 3_807_502, "n_ues and n_tags"),
         (687, 613_121, "n_ues and n_tags"),
         (3000, 142_543, "n_ues and n_tags"),
+        # one tag past the largest accepted
+        (1, 16_711_935, "n_ues and n_tags"),
+        (100, 329_672, "n_ues and n_tags"),
+        (687, 48_393, "n_ues and n_tags"),
     ])
     def test_over_memory_budget_rejected(self, n_ues, n_tags, keys):
         # built, never run: the check must not allocate what it bounds
@@ -575,12 +578,11 @@ class TestValidationOnEveryPath:
     def test_largest_within_memory_budget_accepted(self):
         SimConfig(n_ues=13_100, n_tags=0)
         SimConfig(n_ues=11_401, k_max=11_401, n_subcarriers=11_401)
-        SimConfig(n_ues=1, n_tags=31_122_950)
-        SimConfig(n_ues=100, n_tags=3_807_501)
-        # the channel takes 10 bytes a pair, 128 a point and the DP's
-        # cached 9 (n + 1)^2 + 8 (n + 1), and 10 * 687 * 613120 + 128 *
-        # (687 + 613120) + 9 * 688^2 + 8 * 688 is the whole of 2^32
-        SimConfig(n_ues=687, n_tags=613_120)
+        # the channel takes 129 bytes a pair and 128 a node, so one more
+        # tag would pass 2^32 at each of these
+        SimConfig(n_ues=1, n_tags=16_711_934)
+        SimConfig(n_ues=100, n_tags=329_671)
+        SimConfig(n_ues=687, n_tags=48_392)
 
     @pytest.mark.parametrize("kwargs, keys, every_layer", [
         (dict(n_ues=1, n_tags=200_000), "n_ues and n_tags", False),
@@ -590,26 +592,37 @@ class TestValidationOnEveryPath:
         (dict(n_ues=300, n_tags=10, k_max=300, n_subcarriers=300), DP_KEYS,
          False),
         (dict(n_ues=3000, n_tags=100), DP_KEYS, False),
-        (dict(n_ues=3000, n_tags=4800), DP_KEYS, False),
+        (dict(n_ues=3000, n_tags=4800), "n_ues and n_tags", False),
         (dict(n_ues=3000, n_tags=10, k_max=3000, n_subcarriers=3000),
          DP_KEYS, False),
         (dict(n_ues=300, n_tags=10, k_max=300, n_subcarriers=300), DP_KEYS,
          True),
+        # every pair exact, since from about 1e76 m the bound's entries
+        # could overflow; below 32768 pairs numpy reuses no temporary
+        (dict(n_ues=100, n_tags=2000, coverage_radius=1e150),
+         "n_ues and n_tags", False),
+        (dict(n_ues=100, n_tags=300, coverage_radius=1e150),
+         "n_ues and n_tags", False),
+        # the screen keeps 6 to 8 % of the pairs (far_ratio 4801)
+        (dict(n_ues=100, n_tags=2000,
+              channel=ChannelParams(eta_nlos=3000.0)), "n_ues and n_tags",
+         False),
     ], ids=["1-200000", "300-3000", "300-10-k300", "3000-100", "3000-4800",
-            "3000-10-k3000", "300-10-k300-every-layer"])
+            "3000-10-k3000", "300-10-k300-every-layer", "100-2000-exact",
+            "100-300-exact", "100-2000-eta_nlos3000"])
     def test_trial_peak_within_counted_bytes(self, monkeypatch, kwargs,
                                              keys, every_layer):
         # A budget one byte under what a trial took must refuse it.  The
         # warm-up imports at a small n, and the peak covers two trials,
-        # as a sweep point runs them.
+        # as a sweep point runs them, the first one's results kept.
         if every_layer:
             monkeypatch.setattr(clustering, "ELBOW_SLACK", math.inf)
         config = SimConfig(**kwargs)
         run_trial(small_config(), 3)
         tracemalloc.start()
         try:
-            run_trial(config, 3)
-            run_trial(config, 4)
+            triad, baseline = run_trial(config, 3)
+            triad, baseline = run_trial(config, 4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
