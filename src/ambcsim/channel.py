@@ -153,8 +153,9 @@ def noise_power(bandwidth: float, noise_psd: float) -> float:
     return 10.0 ** ((noise_psd + 10.0 * math.log10(bandwidth) - 30.0) / 10.0)
 
 
-def _link_gain(dx, dy, dz, params: ChannelParams):
-    """Linear gain of links with coordinate offsets (dx, dy, dz)."""
+def _link_gain(d, params: ChannelParams):
+    """Linear gain of links with (3, P) coordinate offsets d: x, y, z."""
+    dx, dy, dz = d
     horiz = np.hypot(dx, dy)
     loss = a2g_path_loss(np.hypot(horiz, dz), np.arctan2(dz, horiz), params)
     return 10.0 ** (loss / -10.0)
@@ -196,12 +197,11 @@ class Deployment:
         links = self._links
         if links is None or links[0] != params:
             n = self.n_ues
-            ax, ay, az = self.xyz[:, -1].tolist()
             xyz = self.xyz[:, :-1 if params.reflection_coeff > 0.0 else n]
             # the UEs' direct paths and the tags' hop 2 in one pass
-            dz = az - xyz[2]
-            np.abs(dz[n:], out=dz[n:])
-            g = _link_gain(ax - xyz[0], ay - xyz[1], dz, params)
+            d = self.xyz[:, -1:] - xyz
+            np.abs(d[2, n:], out=d[2, n:])
+            g = _link_gain(d, params)
             g.flags.writeable = False
             links = self._links = (params, xyz, g)
         return links[1:]
@@ -222,7 +222,8 @@ def effective_gains(deployment, params: ChannelParams,
 
     The backscatter term is the best-tag cascaded gain; tag-index ties
     break toward the lowest index.  With backscatter disabled (or no
-    tags, or beta = 0) the effective gain reduces to the direct gain.
+    tags, or beta = 0) the effective gain is the read-only direct-gain
+    array itself.
 
     The exact cascaded gain is evaluated only on the UE-tag pairs that a
     bound cannot rule out (see _best_tags); all other pairs count as 0
@@ -241,17 +242,17 @@ def effective_gains(deployment, params: ChannelParams,
     direct = g[:n]
     if ambc_enabled and g.size > n:
         best, backscatter = _best_tags(xyz, g[n:], params)
-    else:
-        best, backscatter = np.full(n, -1), np.zeros(n)
-    return ChannelState(direct, backscatter, direct + backscatter, best)
+        return ChannelState(direct, backscatter, direct + backscatter, best)
+    # every gain is >= 0, so direct + 0 would give the same bits
+    return ChannelState(direct, np.zeros(n), direct, np.full(n, -1))
 
 
 # Most bytes a trial holds in a triad channel call where numpy reuses no
 # temporary: per UE-tag pair, 9 in the bound (entry, keep mask) and up to
-# 120 in the exact pass (indices 24, offsets 24, |dz|, horizontal
-# distance, distance, elevation 32, five path-loss temporaries 40); per
-# node, its rows (24) and 88 of those kinds in the link pass, 16 spare.
-PAIR_BYTES, NODE_BYTES = 129, 128
+# 104 in the exact pass (flat and j 16, offsets 24, horizontal distance,
+# distance, elevation 24, five path-loss temporaries 40); per node, its
+# rows (24) and 88 of those kinds in the link pass, 16 spare.
+PAIR_BYTES, NODE_BYTES = 113, 128
 
 
 def _best_tags(xyz, g2, params: ChannelParams):
@@ -334,9 +335,11 @@ def _best_tags(xyz, g2, params: ChannelParams):
         keep = np.ones((n, m), dtype=bool)
     # flat indices beat 2-d ones (nonzero by ~10x on large blocks)
     flat = keep.ravel().nonzero()[0]
-    i, j = np.unravel_index(flat, keep.shape)
-    dx, dy, dz = xyz.take(i, axis=1) - xyz.take(j + n, axis=1)
-    g1 = _link_gain(dx, dy, np.abs(dz), params)
+    j = flat % m
+    # no row index but j stays live through _link_gain, the pass's peak
+    d = xyz.take(flat // m, axis=1) - xyz.take(j + n, axis=1)
+    np.abs(d[2], out=d[2])
+    g1 = _link_gain(d, params)
     cascaded = k
     cascaded.fill(0.0)
     cascaded.put(flat, params.reflection_coeff * g1 * g2.take(j))

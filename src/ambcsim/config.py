@@ -15,7 +15,7 @@ from .clustering import dp_bytes
 UE_HEIGHT = 1.5   # m, handset
 TAG_HEIGHT = 1.0  # m
 # Bytes that one trial may take.  4 GiB admits n_ues <= 13100 at
-# k_max = 10, and up to 16711934 tags for one UE and 329671 for 100.
+# k_max = 10, and up to 17821440 tags for one UE and 375827 for 100.
 MEMORY_BUDGET = 1 << 32
 
 

@@ -13,6 +13,7 @@ any feasible set can serve.
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,8 +32,8 @@ class PowerSolution:
     outage: np.ndarray         # bool
     # Always 1: the admission scan has no fixed-point loop.  The traced
     # bench emits power.fixed_point_sweeps_per_trial only while this
-    # field exists, and tests/test_bench_contract.py requires it.
-    iterations: int
+    # attribute exists, and tests/test_bench_contract.py requires it.
+    iterations: ClassVar[int] = 1
 
 
 def sinr_gamma(required_rate, cluster_bandwidth):
@@ -98,7 +99,7 @@ def iterative_power_allocation(cluster_gains, gamma, noise, p_max):
         if p <= p_max:
             power[i], outage[i] = p, False
             r += 1
-    return PowerSolution(np.array(power), np.array(outage), iterations=1)
+    return PowerSolution(np.array(power), np.array(outage))
 
 
 def compute_ee(solutions, data_bits, frame_duration, circuit_power):

@@ -227,6 +227,23 @@ class TestEffectiveGains:
         np.testing.assert_array_equal(state.effective_gain, state.direct_gain)
         assert np.array_equal(state.best_tag_index, [-1, -1])
 
+    @pytest.mark.parametrize("ambc, beta, n_tags", [
+        (False, 0.5, 1), (True, 0.0, 1), (True, 0.5, 0)],
+        ids=["baseline", "beta0", "no-tags"])
+    def test_without_tags_effective_is_the_direct_array(self, ambc, beta,
+                                                        n_tags):
+        # the third UE is so far that its gain underflows to 0
+        dep = deploy(rows([10, -50, 1e200], [0, 30, 0], 1.5),
+                     rows([5] * n_tags, [5] * n_tags, 1.0))
+        state = effective_gains(dep, ChannelParams(reflection_coeff=beta),
+                                ambc_enabled=ambc)
+        assert state.direct_gain[2] == 0.0
+        assert state.backscatter_gain.tolist() == [0.0] * 3
+        assert state.effective_gain.tobytes() == (
+            state.direct_gain + state.backscatter_gain).tobytes()
+        assert not state.effective_gain.flags.writeable
+        assert state.best_tag_index.tolist() == [-1] * 3
+
     def test_best_tag_is_argmax(self):
         dep = deploy(rows([100], [0], 1.5), rows([200, 90], [0, 0], 1.0))
         state = effective_gains(dep, ChannelParams(), ambc_enabled=True)

@@ -546,9 +546,9 @@ class TestValidationOnEveryPath:
         (687, 613_121, "n_ues and n_tags"),
         (3000, 142_543, "n_ues and n_tags"),
         # one tag past the largest accepted
-        (1, 16_711_935, "n_ues and n_tags"),
-        (100, 329_672, "n_ues and n_tags"),
-        (687, 48_393, "n_ues and n_tags"),
+        (1, 17_821_441, "n_ues and n_tags"),
+        (100, 375_828, "n_ues and n_tags"),
+        (687, 55_234, "n_ues and n_tags"),
     ])
     def test_over_memory_budget_rejected(self, n_ues, n_tags, keys):
         # built, never run: the check must not allocate what it bounds
@@ -578,11 +578,11 @@ class TestValidationOnEveryPath:
     def test_largest_within_memory_budget_accepted(self):
         SimConfig(n_ues=13_100, n_tags=0)
         SimConfig(n_ues=11_401, k_max=11_401, n_subcarriers=11_401)
-        # the channel takes 129 bytes a pair and 128 a node, so one more
+        # the channel takes 113 bytes a pair and 128 a node, so one more
         # tag would pass 2^32 at each of these
-        SimConfig(n_ues=1, n_tags=16_711_934)
-        SimConfig(n_ues=100, n_tags=329_671)
-        SimConfig(n_ues=687, n_tags=48_392)
+        SimConfig(n_ues=1, n_tags=17_821_440)
+        SimConfig(n_ues=100, n_tags=375_827)
+        SimConfig(n_ues=687, n_tags=55_233)
 
     @pytest.mark.parametrize("kwargs, keys, every_layer", [
         (dict(n_ues=1, n_tags=200_000), "n_ues and n_tags", False),
@@ -603,13 +603,15 @@ class TestValidationOnEveryPath:
          "n_ues and n_tags", False),
         (dict(n_ues=100, n_tags=300, coverage_radius=1e150),
          "n_ues and n_tags", False),
+        (dict(n_ues=300, n_tags=100, coverage_radius=1e150),
+         "n_ues and n_tags", False),
         # the screen keeps 6 to 8 % of the pairs (far_ratio 4801)
         (dict(n_ues=100, n_tags=2000,
               channel=ChannelParams(eta_nlos=3000.0)), "n_ues and n_tags",
          False),
     ], ids=["1-200000", "300-3000", "300-10-k300", "3000-100", "3000-4800",
             "3000-10-k3000", "300-10-k300-every-layer", "100-2000-exact",
-            "100-300-exact", "100-2000-eta_nlos3000"])
+            "100-300-exact", "300-100-exact", "100-2000-eta_nlos3000"])
     def test_trial_peak_within_counted_bytes(self, monkeypatch, kwargs,
                                              keys, every_layer):
         # A budget one byte under what a trial took must refuse it.  The

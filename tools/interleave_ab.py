@@ -7,9 +7,12 @@ package.  Each package is copied to a temporary directory under its own
 name (``ambcsim_a``, ``ambcsim_b``) and both are imported into this one
 process.  A round runs the workload's CLI campaign (``WORKLOADS`` of
 ``bench/run.py``) once through each side's ``cli.main``, alternating
-which side runs first.  It prints each side's median trial/s, the median
-of the per-round ratios B / A, and the rounds B won, and exits 1 if a
-campaign fails or the two sides ever write different CSV bytes.
+which side runs first.  It prints each side's median and quartiles of
+trial/s, the median of the per-round ratios B / A, the rounds B won, and
+a verdict by the nine-of-ten rule: B gains only if it won at least 90 %
+of the rounds and its median beats A's by more than A's interquartile
+range.  It exits 1 if a campaign fails or the two sides ever write
+different CSV bytes.
 
 This is a sizing aid: both sides share one process and one phase of the
 host's speed, so small differences show in fewer seconds than separate
@@ -66,8 +69,9 @@ def main(argv=None):
     workloads = load_workloads()
     if args.workload not in workloads:
         parser.error(f"--workload must be one of {', '.join(workloads)}")
-    if args.rounds < 1:
-        parser.error("--rounds must be >= 1")
+    if args.rounds < 2:
+        # quartiles need two rounds
+        parser.error("--rounds must be >= 2")
     workload = workloads[args.workload]
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -94,10 +98,18 @@ def main(argv=None):
     rate = [[workload.paired_trials / t for t in side] for side in times]
     ratios = [b / a for a, b in zip(*rate)]
     wins = sum(b > a for a, b in zip(*rate))
-    for label, side in zip("AB", rate):
-        print(f"{label}: median {statistics.median(side):.1f} trial/s")
+    quartiles = [statistics.quantiles(side, n=4) for side in rate]
+    for label, (q1, median, q3) in zip("AB", quartiles):
+        print(f"{label}: median {median:.1f} trial/s, quartiles "
+              f"[{q1:.1f}, {q3:.1f}]")
     print(f"B / A: median {statistics.median(ratios):.4f}; B won "
           f"{wins} of {args.rounds} rounds")
+    (a_q1, a_median, a_q3), (_, b_median, _) = quartiles
+    gain = 10 * wins >= 9 * args.rounds and b_median - a_median > a_q3 - a_q1
+    print(f"nine-of-ten rule: {'a gain' if gain else 'no gain'} (B won "
+          f"{100 * wins / args.rounds:.0f} % of rounds; medians "
+          f"{b_median - a_median:+.1f} apart, A's interquartile range "
+          f"{a_q3 - a_q1:.1f})")
     if differ:
         print("a campaign failed, or the two sides wrote different CSV "
               "bytes", file=sys.stderr)
